@@ -18,7 +18,7 @@ from .cnf import CnfError, CnfFormula, parse_dimacs
 from .io import (InstanceFormatError, dump_roles, format_completion,
                  format_dot, format_instance, load_roles, parse_completion,
                  parse_instance)
-from .recognition import PROPERTY_IDS, check
+from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
 from .reduction_even import (OrientationError, build_even_instance,
                              extract_assignment as extract_even)
 from .reduction_odd import (GadgetError, build_c5_instance,
@@ -36,6 +36,13 @@ EXIT_BUDGET = 3
 
 class CliError(Exception):
     """Usage or input error; message goes to stderr, exit code 2."""
+
+
+def _budget(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("budget must be non-negative")
+    return value
 
 
 def _read(path):
@@ -245,7 +252,7 @@ def _parser():
     p = sub.add_parser("solve", help="decide a serialized sandwich instance")
     p.add_argument("instance", help="instance file, or - for stdin")
     p.add_argument("--property", choices=SOLVABLE_PROPERTY_IDS, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SOLVE_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_SOLVE_BUDGET,
                    help="search-node cap (default %d)" % DEFAULT_SOLVE_BUDGET)
     p.add_argument("--completion-out", default=None,
                    help="also write the completion to this file on SAT")
@@ -258,8 +265,9 @@ def _parser():
                    help="completion file; realizes the sandwich graph")
     p.add_argument("--graph", choices=("g1", "g2"), default=None,
                    help="check the forced (g1) or allowed (g2) graph instead")
-    p.add_argument("--budget", type=int, default=None,
-                   help="cycle-search step cap")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_CHECK_BUDGET,
+                   help="cycle-search step cap (default %d)"
+                        % DEFAULT_CHECK_BUDGET)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("complement",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget
-from .graph import Graph, iter_chordless_cycles
+from .graph import Cycle, _bits, iter_chordless_cycles
 
 PROPERTY_IDS = (
     "chordal",
@@ -34,9 +34,6 @@ PROPERTY_IDS = (
 )
 
 DEFAULT_CHECK_BUDGET = 10 ** 7
-
-# Direct five-subset scanning beats path search up to this size; C(40,5) is
-# about 658k subsets.
 C5_SCAN_MAX_VERTICES = 40
 
 
@@ -54,7 +51,7 @@ class Certificate:
     vertices: tuple
 
 
-def is_chordal(g, budget=None):
+def is_chordal(g, budget=DEFAULT_CHECK_BUDGET):
     """Maximum-cardinality-search chordality test.
 
     Returns (True, peo certificate) or (False, hole certificate).  MCS builds
@@ -74,47 +71,64 @@ def is_chordal(g, budget=None):
                 best = v
         visited[best] = True
         visit_order.append(best)
-        for u in _bit_vertices(g.adj[best]):
+        for u in _bits(g.adj[best]):
             if not visited[u]:
                 weights[u] += 1
     order = tuple(reversed(visit_order))
 
     if _verify_peo(g, order):
         return True, Certificate("peo", order)
-    hole = _first_cycle(g, budget, min_len=4)
+    hole = _first_cycle(g, Budget(budget))
     return False, Certificate("hole", hole.vertices)
 
 
-def check(g, prop, budget=None):
+def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
+    """Certificate of the first structure in `g` violating `prop`, or None.
+
+    chordal: the first chordless cycle of length >= 4, searched only after
+    the MCS order fails its perfect-elimination check; c5-free: an induced
+    five-cycle; odd- and even-hole-free: the first chordless cycle of that
+    parity; odd-antihole-free: the first odd hole of the complement; berge:
+    an odd hole, else an odd antihole.  Cycles come in canonical enumeration
+    order.  The certificate's vertex set lives in `g` either way, and every
+    way to destroy the structure adds some non-edge inside it.
+
+    `budget` caps cycle-search expansions, shared by all searches of one
+    call; None means unlimited.  Exhaustion raises BudgetExhausted.
+    """
+    if prop not in PROPERTY_IDS:
+        raise ValueError("unknown property id %r" % (prop,))
+    if prop == "chordal":
+        chordal, cert = is_chordal(g, budget)
+        return None if chordal else cert
+    tracker = Budget(budget)
+    if prop == "c5-free":
+        c5 = _find_c5(g, tracker)
+        return None if c5 is None else Certificate("hole", c5)
+    if prop in ("odd-hole-free", "even-hole-free", "berge"):
+        parity = 0 if prop == "even-hole-free" else 1
+        hole = _first_cycle(g, tracker, parity)
+        if hole is not None:
+            return Certificate("hole", hole.vertices)
+    if prop in ("odd-antihole-free", "berge"):
+        anti = _first_cycle(g.complement(), tracker, parity=1)
+        if anti is not None:
+            return Certificate("antihole", anti.vertices)
+    return None
+
+
+def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     """Decide `prop` for `g`; returns (verdict, certificate_or_None).
 
-    `budget` caps cycle-search expansions (default 10**7); exhaustion raises
+    A negative verdict carries `first_violation`'s certificate; a positive
+    chordality verdict carries a perfect elimination order.  `budget` caps
+    cycle-search expansions (None: unlimited); exhaustion raises
     BudgetExhausted and the verdict stays unknown.
     """
     if prop == "chordal":
         return is_chordal(g, budget)
-    if prop == "c5-free":
-        c5 = _find_c5(g, budget)
-        return (True, None) if c5 is None else (False, Certificate("hole", c5))
-    if prop == "odd-hole-free":
-        hole = _first_cycle(g, budget, min_len=4, parity=1)
-        return (True, None) if hole is None else (False, Certificate("hole", hole.vertices))
-    if prop == "even-hole-free":
-        hole = _first_cycle(g, budget, min_len=4, parity=0)
-        return (True, None) if hole is None else (False, Certificate("hole", hole.vertices))
-    if prop == "odd-antihole-free":
-        hole = _first_cycle(g.complement(), budget, min_len=4, parity=1)
-        return (True, None) if hole is None else (False, Certificate("antihole", hole.vertices))
-    if prop == "berge":
-        tracker = Budget(budget if budget is not None else DEFAULT_CHECK_BUDGET)
-        hole = _first_cycle(g, None, min_len=4, parity=1, tracker=tracker)
-        if hole is not None:
-            return False, Certificate("hole", hole.vertices)
-        anti = _first_cycle(g.complement(), None, min_len=4, parity=1, tracker=tracker)
-        if anti is not None:
-            return False, Certificate("antihole", anti.vertices)
-        return True, None
-    raise ValueError("unknown property id %r" % (prop,))
+    cert = first_violation(g, prop, budget)
+    return cert is None, cert
 
 
 def verify_certificate(g, prop, verdict, cert):
@@ -126,7 +140,7 @@ def verify_certificate(g, prop, verdict, cert):
     if cert is None:
         return False
     if cert.kind == "hole":
-        cyc = _as_cycle(cert.vertices)
+        cyc = Cycle(tuple(cert.vertices))
         if not cyc.is_chordless_in(g):
             return False
         if prop == "chordal":
@@ -141,19 +155,12 @@ def verify_certificate(g, prop, verdict, cert):
     if cert.kind == "antihole":
         if prop not in ("odd-antihole-free", "berge"):
             return False
-        cyc = _as_cycle(cert.vertices)
+        cyc = Cycle(tuple(cert.vertices))
         return cyc.length >= 5 and cyc.is_odd and cyc.is_chordless_in(g.complement())
     return False
 
 
 # -- internals ---------------------------------------------------------------
-
-def _bit_vertices(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
 
 def _verify_peo(g, order):
     """One-pass perfect-elimination check.
@@ -171,7 +178,7 @@ def _verify_peo(g, order):
     later = [0] * n
     for v in range(n):
         mask = 0
-        for u in _bit_vertices(g.adj[v]):
+        for u in _bits(g.adj[v]):
             if pos[u] > pos[v]:
                 mask |= 1 << u
         later[v] = mask
@@ -179,18 +186,17 @@ def _verify_peo(g, order):
         mask = later[v]
         if not mask:
             continue
-        parent = min(_bit_vertices(mask), key=lambda u: pos[u])
+        parent = min(_bits(mask), key=lambda u: pos[u])
         rest = mask & ~(1 << parent)
         if rest & ~g.adj[parent]:
             return False
     return True
 
 
-def _first_cycle(g, budget, min_len, parity=None, tracker=None):
-    """First chordless cycle (optionally of fixed parity) or None."""
-    if tracker is None:
-        tracker = Budget(budget if budget is not None else DEFAULT_CHECK_BUDGET)
-    for cyc in iter_chordless_cycles(g, min_len, tracker):
+def _first_cycle(g, budget, parity=None):
+    """First chordless cycle of length >= 4 (optionally of fixed parity), or
+    None; `budget` is the Budget the search spends expansions from."""
+    for cyc in iter_chordless_cycles(g, 4, budget):
         if parity is None or cyc.length % 2 == parity:
             return cyc
     return None
@@ -213,8 +219,7 @@ def _find_c5(g, budget):
             if all((adj[v] & mask).bit_count() == 2 for v in subset):
                 return _walk_cycle(g, subset)
         return None
-    tracker = Budget(budget if budget is not None else DEFAULT_CHECK_BUDGET)
-    for cyc in iter_chordless_cycles(g, min_len=5, budget=tracker, max_len=5):
+    for cyc in iter_chordless_cycles(g, min_len=5, budget=budget, max_len=5):
         return cyc.vertices
     return None
 
@@ -230,7 +235,3 @@ def _walk_cycle(g, subset):
         order.append(next(u for u in inside[cur] if u != prev))
     return tuple(order)
 
-
-def _as_cycle(vertices):
-    from .graph import Cycle
-    return Cycle(tuple(vertices))

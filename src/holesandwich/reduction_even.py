@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .budget import Budget, BudgetExhausted
 from .graph import Cycle, Graph
-from .recognition import check
+from .recognition import DEFAULT_CHECK_BUDGET, check
 from .sandwich import (Completion, SandwichInstance, SolveResult,
                        normalized_edge, solve)
 
@@ -176,7 +176,10 @@ def chosen_edges_for_assignment(formula, assignment, gmap):
 
     Per incidence the orientation bundle matching the assignment, then a
     clique on true shoulders, a clique on true knees, and every
-    true-shoulder-knee pair (pairs that are already forced are dropped).
+    true-shoulder-knee pair (pairs that are already forced are dropped).  A
+    variable with no incidence also gets its foot-true-shoulder edge, which
+    breaks the four-holes (foot, knee, true shoulder, knee') its
+    shoulder-knee edges would otherwise close.
     """
     if set(assignment) != set(range(1, formula.num_vars + 1)):
         raise ValueError("assignment must cover variables 1..%d"
@@ -195,6 +198,10 @@ def chosen_edges_for_assignment(formula, assignment, gmap):
     for s in true_shoulders:
         for k in gmap.knees():
             edges.add(normalized_edge(s, k))
+    used = {i for i, _ in gmap.incidences}
+    for i in range(1, gmap.num_vars + 1):
+        if i not in used:
+            edges.add(normalized_edge(gmap.foot, true_shoulders[i - 1]))
     return edges & gmap.instance.optional
 
 
@@ -416,14 +423,18 @@ def propagate_orientations(inst, gmap, decided):
 
 def solve_with_orientations(formula, inst, gmap,
                             budget=DEFAULT_ORIENTATION_BUDGET,
-                            check_budget=None):
+                            check_budget=DEFAULT_CHECK_BUDGET):
     """Sandwich search for even-hole-free seeded by orientation branching.
 
     Depth-first over variables, deciding one orientation bundle per branch
     and propagating after each decision; a leaf realizes the canonical
-    completion for the branch assignment and re-checks it.  If every branch
-    is pruned, the generic solver finishes the job on the instance reduced
-    by the root propagation, so UNSAT stays exact.
+    completion for the branch assignment and re-checks it.  A satisfying
+    assignment whose completion fails the check means the construction is
+    broken, and raises AssertionError.  If every branch is pruned, the
+    generic solver finishes the job on the instance reduced by the root
+    propagation, so UNSAT stays exact.  `budget` caps nodes of both searches
+    together and `check_budget` each recognition search; None means
+    unlimited.
     """
     tracker = Budget(budget)
     order = list(range(1, formula.num_vars + 1))
@@ -442,6 +453,10 @@ def solve_with_orientations(formula, inst, gmap,
                 chosen = frozenset(e for e in inst.optional
                                    if g.has_edge(*e))
                 return SolveResult("SAT", Completion(chosen), tracker.spent)
+            if formula.satisfied_by(assignment):
+                raise AssertionError(
+                    "canonical completion of satisfying assignment %r of %r "
+                    "is not even-hole-free" % (assignment, formula))
             return None
         var = order[idx]
         for positive in (True, False):
@@ -469,15 +484,11 @@ def solve_with_orientations(formula, inst, gmap,
     root = propagate_orientations(inst, gmap, {})
     if root.status == "contradiction":
         return SolveResult("UNSAT", None, tracker.spent)
+    if tracker.remaining == 0:
+        return SolveResult("BUDGET", None, tracker.spent, frontier=1)
     reduced = _reduced_instance(inst, root.forced)
-    if budget is None:
-        fallback = solve(reduced, "even-hole-free", check_budget=check_budget)
-    else:
-        remaining = budget - tracker.spent
-        if remaining <= 0:
-            return SolveResult("BUDGET", None, tracker.spent, frontier=1)
-        fallback = solve(reduced, "even-hole-free", budget=remaining,
-                         check_budget=check_budget)
+    fallback = solve(reduced, "even-hole-free", budget=tracker.remaining,
+                     check_budget=check_budget)
     completion = fallback.completion
     if fallback.verdict == "SAT":
         extra_in = frozenset(e for e, v in root.forced.items() if v)

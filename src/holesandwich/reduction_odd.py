@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Cycle, find_subgraph, gem_graph, triangles
+from .graph import Cycle, _bits, find_subgraph, gem_graph, triangles
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
 
 REPEATER_SIDES = ("var", "clause")
@@ -275,33 +275,16 @@ def _all_five_cycles(g):
     """All 5-cycles of g as Cycle values, chords allowed, each once."""
     adj = g.adj
     for a in range(g.n):
-        low = (1 << (a + 1)) - 1
-        for b in _above(adj[a], a):
-            for c in _above(adj[b] & ~(1 << b), a):
-                if c == b:
-                    continue
-                for d in _above(adj[c], a):
+        above = ~((1 << (a + 1)) - 1)
+        for b in _bits(adj[a] & above):
+            for c in _bits(adj[b] & above):
+                for d in _bits(adj[c] & above):
                     if d in (b, c):
                         continue
-                    closing = adj[d] & adj[a] & ~low
-                    for e in _bits_of(closing):
+                    closing = adj[d] & adj[a] & above
+                    for e in _bits(closing):
                         if e > b and e not in (b, c, d):
                             yield Cycle((a, b, c, d, e))
-
-
-def _above(mask, floor):
-    mask &= ~((1 << (floor + 1)) - 1)
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _bits_of(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def extract_assignment(gmap, g):

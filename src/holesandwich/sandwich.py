@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget, BudgetExhausted
-from .graph import Graph, iter_chordless_cycles
-from .recognition import (C5_SCAN_MAX_VERTICES, DEFAULT_CHECK_BUDGET,
-                          PROPERTY_IDS, check)
+from .graph import Graph
+from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
+                          first_violation)
 
 DEFAULT_SOLVE_BUDGET = 10 ** 6
 BRUTE_FORCE_MAX_OPTIONAL = 20
@@ -149,11 +149,12 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
     adding one of its undecided optional non-edges, so the node branches on
     the first such repair pair, in-branch first; with no repair pair left the
     branch is dead.  When nothing violates the property, remaining undecided
-    edges are decided out and a full recognition check guards the result.
+    edges are decided out and the node's graph is the completion.
 
-    `budget` caps search nodes; on exhaustion the verdict is "BUDGET" with the
-    count of unexplored alternative branches.  See docs/solver.md for the
-    completeness argument.
+    `budget` caps search nodes and `check_budget` each violation search's
+    expansions; None means unlimited.  On exhaustion of either the verdict is
+    "BUDGET" with the count of unexplored alternative branches.  See
+    docs/solver.md for the completeness argument.
     """
     if prop not in SOLVABLE_PROPERTY_IDS:
         raise ValueError("solve does not support property %r" % (prop,))
@@ -163,7 +164,8 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
 
     optional = sorted(inst.optional)
     decided = {}
-    stats = {"nodes": 0, "frontier": 0}
+    nodes = Budget(budget)
+    frontier = 0
 
     def current_graph():
         chosen = [e for e in optional if decided.get(e)]
@@ -179,33 +181,27 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
                 pairs.append(e)
         return pairs
 
-    BUDGET_STOP = object()
-
     def search():
-        stats["nodes"] += 1
-        if stats["nodes"] > budget:
-            return BUDGET_STOP
+        nonlocal frontier
+        nodes.spend()
         g = current_graph()
-        structure = _first_violation(g, prop, check_budget)
-        if structure is None:
+        violation = first_violation(g, prop, check_budget)
+        if violation is None:
             chosen = frozenset(e for e in optional if decided.get(e))
-            ok, _ = check(g, prop, check_budget)
-            if not ok:  # pragma: no cover - guard for the violation search
-                raise AssertionError("violation search missed a structure")
-            return SolveResult("SAT", Completion(chosen), stats["nodes"])
-        pairs = repair_pairs(g, structure)
+            return SolveResult("SAT", Completion(chosen), nodes.spent)
+        pairs = repair_pairs(g, violation.vertices)
         if not pairs:
             return None
         e = pairs[0]
-        stats["frontier"] += 1
+        # The out-branch of e stays pending, and counted in the frontier,
+        # until the in-branch fails; a BUDGET stop inside it leaves it counted.
+        frontier += 1
         decided[e] = True
         result = search()
         if result is not None:
-            # The out-branch of e is still pending; on SAT/BUDGET it stays
-            # counted in the frontier.
             del decided[e]
             return result
-        stats["frontier"] -= 1
+        frontier -= 1
         decided[e] = False
         result = search()
         del decided[e]
@@ -214,11 +210,9 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
     try:
         result = search()
     except BudgetExhausted:
-        return SolveResult("BUDGET", None, stats["nodes"], stats["frontier"])
-    if result is BUDGET_STOP:
-        return SolveResult("BUDGET", None, stats["nodes"], stats["frontier"])
+        return SolveResult("BUDGET", None, nodes.spent, frontier)
     if result is None:
-        return SolveResult("UNSAT", None, stats["nodes"])
+        return SolveResult("UNSAT", None, nodes.spent)
     return result
 
 
@@ -255,47 +249,3 @@ def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
             return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
     return SolveResult("UNSAT", None, 1 << len(optional))
 
-
-def _first_violation(g, prop, check_budget):
-    """Vertex set of the first structure violating `prop`, or None.
-
-    For hole properties this is the first (canonically enumerated) offending
-    chordless cycle; for C5-freeness the first induced five-cycle; for
-    antihole-freeness the first odd hole of the complement.  The returned
-    vertex set lives in g either way, and every way to destroy the structure
-    adds some non-edge inside it.
-    """
-    budget = Budget(check_budget)
-    if prop == "chordal":
-        for cyc in iter_chordless_cycles(g, 4, budget):
-            return cyc.vertices
-        return None
-    if prop == "c5-free":
-        if g.n <= C5_SCAN_MAX_VERTICES:
-            adj = g.adj
-            for subset in combinations(range(g.n), 5):
-                mask = 0
-                for v in subset:
-                    mask |= 1 << v
-                if all((adj[v] & mask).bit_count() == 2 for v in subset):
-                    return subset
-            return None
-        for cyc in iter_chordless_cycles(g, 5, budget, max_len=5):
-            return cyc.vertices
-        return None
-    if prop == "odd-hole-free":
-        for cyc in iter_chordless_cycles(g, 4, budget):
-            if cyc.is_odd:
-                return cyc.vertices
-        return None
-    if prop == "even-hole-free":
-        for cyc in iter_chordless_cycles(g, 4, budget):
-            if not cyc.is_odd:
-                return cyc.vertices
-        return None
-    if prop == "odd-antihole-free":
-        for cyc in iter_chordless_cycles(g.complement(), 4, budget):
-            if cyc.is_odd:
-                return cyc.vertices
-        return None
-    raise ValueError("unknown property id %r" % (prop,))

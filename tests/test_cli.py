@@ -144,6 +144,11 @@ def test_usage_errors_exit_two(workdir, capsys):
     with pytest.raises(SystemExit) as info:
         run("solve", workdir / "bad.inst", "--property", "berge")
     assert info.value.code == 2
+    for command, prop in (("solve", "chordal"), ("check", "chordal")):
+        with pytest.raises(SystemExit) as info:
+            run(command, workdir / "bad.inst", "--property", prop,
+                "--budget", "-1")
+        assert info.value.code == 2
     with pytest.raises(SystemExit):
         run("frobnicate")
     capsys.readouterr()

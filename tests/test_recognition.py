@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import (Graph, chordless_cycles, complement,
                                 complete_graph, cycle_graph, path_graph)
-from holesandwich.recognition import (PROPERTY_IDS, check, is_chordal,
-                                      verify_certificate)
+from holesandwich.recognition import (PROPERTY_IDS, check, first_violation,
+                                      is_chordal, verify_certificate)
 
 from oracles import petersen_edges, property_oracle
 
@@ -123,6 +123,10 @@ def test_certificates_reverify(g):
     for prop in PROPERTY_IDS:
         verdict, cert = check(g, prop)
         assert verify_certificate(g, prop, verdict, cert)
+        violation = first_violation(g, prop)
+        assert verdict == (violation is None)
+        if not verdict:
+            assert cert == violation
 
 
 @given(small_graphs())

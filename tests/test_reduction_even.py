@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from holesandwich.cnf import CnfFormula, all_assignments
+from holesandwich import reduction_even
 from holesandwich.graph import Cycle
 from holesandwich.recognition import check, is_chordal
 from holesandwich.reduction_even import (IncompleteOrientationError,
@@ -123,6 +124,13 @@ def test_extraction_covers_unused_variables():
         assignment = {1: True, 2: False, 3: False, 4: flag}
         g = completion_from_assignment(f, assignment, gmap)
         assert extract_assignment(gmap, g) == assignment
+    for assignment in all_assignments(f.num_vars):
+        if f.satisfied_by(assignment):
+            g = completion_from_assignment(f, assignment, gmap)
+            assert check(g, "even-hole-free")[0], assignment
+    result = solve_with_orientations(f, inst, gmap, budget=None)
+    assert result.verdict == "SAT"
+    assert result.nodes <= 1 + 2 * f.num_vars
 
 
 def test_extraction_rejects_mixed_and_missing_orientations():
@@ -200,6 +208,15 @@ def test_orientation_solver_sat_and_extracts():
         g = inst.realize(result.completion.chosen)
         assert check(g, "even-hole-free")[0]
         assert formula.satisfied_by(extract_assignment(gmap, g))
+
+
+def test_broken_construction_raises_at_a_satisfying_leaf(monkeypatch):
+    # The forced graph keeps every incidence six-cycle, an even hole.
+    inst, gmap = build()
+    monkeypatch.setattr(reduction_even, "completion_from_assignment",
+                        lambda formula, assignment, gmap: gmap.instance.g1())
+    with pytest.raises(AssertionError, match="satisfying assignment"):
+        solve_with_orientations(XYZ, inst, gmap)
 
 
 def test_orientation_solver_reports_budget_exhaustion():

@@ -158,6 +158,9 @@ def test_budget_verdict():
     chords = set(combinations(range(9), 2)) - ring - {(0, 2)}
     inst = SandwichInstance.build(9, ring, chords)
     assert solve(inst, "chordal", budget=1).verdict == "BUDGET"
+    unlimited = solve(inst, "chordal", budget=None, check_budget=None)
+    assert unlimited.verdict == "SAT"
+    assert check(unlimited.completion.realize(inst), "chordal")[0]
 
 
 @given(instances(max_n=6, max_optional=8),
