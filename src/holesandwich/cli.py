@@ -20,7 +20,8 @@ from .io import (InstanceFormatError, dump_roles, format_completion,
                  parse_instance)
 from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
 from .reduction_even import (OrientationError, build_even_instance,
-                             extract_assignment as extract_even)
+                             extract_assignment as extract_even,
+                             solve_with_orientations)
 from .reduction_odd import (GadgetError, build_c5_instance,
                             build_odd_hole_free_instance,
                             extract_assignment as extract_odd)
@@ -80,6 +81,13 @@ def _load_formula(path):
         raise CliError("%s: %s" % (path, exc))
 
 
+def _load_roles(path):
+    try:
+        return load_roles(_read(path))
+    except InstanceFormatError as exc:
+        raise CliError("%s: %s" % (path, exc))
+
+
 def _rebuild_from_roles(payload):
     try:
         formula = CnfFormula(payload["num_vars"],
@@ -122,7 +130,23 @@ def _cmd_reduce(args):
 
 def _cmd_solve(args):
     inst = _load_instance(args.instance)
-    result = solve(inst, args.property, budget=args.budget)
+    if args.roles is None:
+        result = solve(inst, args.property, budget=args.budget)
+    else:
+        kind, formula, rebuilt, gmap = _rebuild_from_roles(
+            _load_roles(args.roles))
+        if kind != args.property:
+            raise CliError("roles file is for %s, not %s"
+                           % (kind, args.property))
+        shape = (inst.n, inst.forced, inst.optional)
+        if (rebuilt.n, rebuilt.forced, rebuilt.optional) != shape:
+            raise CliError("%s does not describe %s"
+                           % (args.roles, args.instance))
+        if kind == "even-hole-free":
+            result = solve_with_orientations(formula, rebuilt, gmap,
+                                             budget=args.budget)
+        else:
+            result = solve(inst, args.property, budget=args.budget)
     print(result.verdict)
     if result.verdict == "SAT":
         for u, v in sorted(result.completion.chosen):
@@ -170,11 +194,7 @@ def _cmd_complement(args):
 
 
 def _cmd_extract(args):
-    try:
-        payload = load_roles(_read(args.roles))
-    except InstanceFormatError as exc:
-        raise CliError("%s: %s" % (args.roles, exc))
-    kind, formula, inst, gmap = _rebuild_from_roles(payload)
+    kind, formula, inst, gmap = _rebuild_from_roles(_load_roles(args.roles))
     try:
         chosen = parse_completion(_read(args.completion), inst)
     except InstanceFormatError as exc:
@@ -256,6 +276,10 @@ def _parser():
                    help="search-node cap (default %d)" % DEFAULT_SOLVE_BUDGET)
     p.add_argument("--completion-out", default=None,
                    help="also write the completion to this file on SAT")
+    p.add_argument("--roles", default=None,
+                   help="role-map JSON written by reduce-*; must describe "
+                        "the instance and match --property, and routes "
+                        "even-hole-free to the orientation solver")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check", help="test a property on a realized graph")

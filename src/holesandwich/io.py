@@ -184,6 +184,8 @@ def load_roles(text):
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError("roles file is not valid JSON: %s" % exc)
+    if not isinstance(payload, dict):
+        raise InstanceFormatError("roles file must hold a JSON object")
     for key in ("reduction", "num_vars", "clauses", "vertex_roles"):
         if key not in payload:
             raise InstanceFormatError("roles file missing %r" % key)

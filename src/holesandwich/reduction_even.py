@@ -318,7 +318,8 @@ def propagate_orientations(inst, gmap, decided):
       its three pairings: a present 4-cycle with both diagonals excluded is a
       contradiction; with one diagonal excluded the other is forced in; a
       present 3-path whose closing edge is undecided and whose diagonals are
-      both excluded forces the closing edge out;
+      both excluded forces the closing edge out.  Each 4-subset's six pair
+      states are read once and shared by its three pairings;
     * six-hole rule: a present knee-shoulder edge (kappa, sigma) closes the
       six-cycle through W1/W2, so head-kappa or foot-sigma must be in; with
       one out the other is forced, with both out the six-hole itself is the
@@ -370,24 +371,29 @@ def propagate_orientations(inst, gmap, decided):
                 return
             batch[e] = val
 
-        for quad in itertools.combinations(core, 4):
-            for cycle in _pairings(quad):
-                a, b, c, d = cycle
-                edges = ((a, b), (b, c), (c, d), (d, a))
-                states = [lookup(*e) for e in edges]
-                diag1, diag2 = lookup(a, c), lookup(b, d)
-                present = states.count(IN)
-                if present == 4:
-                    if diag1 == OUT and diag2 == OUT:
-                        contradictions.append(Cycle(cycle))
-                    elif diag1 == OUT and diag2 == UND:
-                        force(b, d, True)
-                    elif diag2 == OUT and diag1 == UND:
-                        force(a, c, True)
-                elif (present == 3 and UND in states
-                      and diag1 == OUT and diag2 == OUT):
-                    u, v = edges[states.index(UND)]
-                    force(u, v, False)
+        def four_cycle(a, b, c, d, ab, bc, cd, da, ac, bd):
+            sides = (ab, bc, cd, da)
+            present = sides.count(IN)
+            if present == 4:
+                if ac == OUT and bd == OUT:
+                    contradictions.append(Cycle((a, b, c, d)))
+                elif ac == OUT and bd == UND:
+                    force(b, d, True)
+                elif bd == OUT and ac == UND:
+                    force(a, c, True)
+            elif (present == 3 and UND in sides
+                  and ac == OUT and bd == OUT):
+                u, v = ((a, b), (b, c), (c, d), (d, a))[sides.index(UND)]
+                force(u, v, False)
+
+        # force only writes batch, so the six states read here are the
+        # round's states for all three pairings.
+        for a, b, c, d in itertools.combinations(core, 4):
+            ab, ac, ad = lookup(a, b), lookup(a, c), lookup(a, d)
+            bc, bd, cd = lookup(b, c), lookup(b, d), lookup(c, d)
+            four_cycle(a, b, c, d, ab, bc, cd, ad, ac, bd)
+            four_cycle(a, b, d, c, ab, bd, cd, ac, ad, bc)
+            four_cycle(a, c, b, d, ac, bc, bd, ad, ab, cd)
 
         for k in knees:
             for s in shoulders:
@@ -439,9 +445,11 @@ def solve_with_orientations(formula, inst, gmap,
     tracker = Budget(budget)
     order = list(range(1, formula.num_vars + 1))
 
-    def descend(decided, assignment, idx):
+    def visit(decided):
         tracker.spend()
-        result = propagate_orientations(inst, gmap, decided)
+        return propagate_orientations(inst, gmap, decided)
+
+    def descend(decided, result, assignment, idx):
         if result.status == "contradiction":
             return None
         merged = dict(decided)
@@ -469,19 +477,20 @@ def solve_with_orientations(formula, inst, gmap,
                     trial[e] = True
             if conflict:
                 continue
-            found = descend(trial, {**assignment, var: positive}, idx + 1)
+            found = descend(trial, visit(trial),
+                            {**assignment, var: positive}, idx + 1)
             if found is not None:
                 return found
         return None
 
     try:
-        found = descend({}, {}, 0)
+        root = visit({})
+        found = descend({}, root, {}, 0)
     except BudgetExhausted:
         return SolveResult("BUDGET", None, tracker.spent, frontier=1)
     if found is not None:
         return found
 
-    root = propagate_orientations(inst, gmap, {})
     if root.status == "contradiction":
         return SolveResult("UNSAT", None, tracker.spent)
     if tracker.remaining == 0:
@@ -506,7 +515,3 @@ def _reduced_instance(inst, forced_decisions):
         (inst.optional - extra_in) - out,
         inst.names)
 
-
-def _pairings(quad):
-    a, b, c, d = quad
-    return ((a, b, c, d), (a, b, d, c), (a, c, b, d))

@@ -120,6 +120,103 @@ def sandwich_oracle(n, forced, optional, prop):
     return False
 
 
+def canonical_cycle(cycle):
+    """Least rotation or reflection of a cyclic vertex sequence."""
+    k = len(cycle)
+    return min(tuple(seq[(i + j) % k] for j in range(k))
+               for seq in (tuple(cycle), tuple(reversed(cycle)))
+               for i in range(k))
+
+
+def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
+                       knees, shoulders):
+    """Reference closure of even-construction decisions under its two rules.
+
+    Pair states are two sets, present and absent; every other pair is
+    undecided.  Each synchronous round scans, against the states at its
+    start:
+
+    * every 4-subset a < b < c < d of the vertices other than w1/w2, with
+      its cycles (a,b,c,d), (a,b,d,c), (a,c,b,d) in that order: four present
+      sides and both diagonals absent is a contradiction; four present sides,
+      one diagonal absent and the other undecided derives the other in;
+      three present sides, one undecided side and both diagonals absent
+      derives that side out;
+    * every present knee-shoulder pair (k, s), knees and shoulders in
+      ascending order: with head-k and foot-s both absent the six-hole
+      (head, w1, w2, foot, k, s) is a contradiction; with one absent and
+      the other undecided the other is derived in; with both undecided the
+      pair (head-k, foot-s) is pending.
+
+    A pair derived both ways in one round is derived in.  A round with a
+    contradiction ends the closure, reporting the smallest contradiction by
+    (length, sorted vertices); a round deriving nothing ends it as "ok".
+    Returns (status, derived (edge, value) pairs in derivation order,
+    sorted pending pairs, canonical certificate or None).
+    """
+    def key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    allowed = edge_set(forced) | edge_set(optional)
+    present = edge_set(forced) | {key(*e) for e, val in decided.items() if val}
+    absent = {e for e in combinations(range(n), 2) if e not in allowed}
+    absent |= {key(*e) for e, val in decided.items() if not val}
+    core = [v for v in range(n) if v not in (w1, w2)]
+    derived = {}
+    while True:
+        batch = {}
+        found = []
+        pending = set()
+
+        def derive(e, val):
+            batch[e] = val or batch.get(e, False)
+
+        for quad in combinations(core, 4):
+            if sum(e in present for e in combinations(quad, 2)) < 3:
+                continue  # every rule needs three present sides
+            a, b, c, d = quad
+            for cycle in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+                sides = [key(cycle[i], cycle[(i + 1) % 4]) for i in range(4)]
+                diagonals = [key(cycle[0], cycle[2]), key(cycle[1], cycle[3])]
+                ins = [e for e in sides if e in present]
+                open_sides = [e for e in sides
+                              if e not in present and e not in absent]
+                outs = [e for e in diagonals if e in absent]
+                if len(ins) == 4 and len(outs) == 2:
+                    found.append(cycle)
+                elif len(ins) == 4 and len(outs) == 1:
+                    other = diagonals[1 - diagonals.index(outs[0])]
+                    if other not in present:
+                        derive(other, True)
+                elif len(ins) == 3 and len(open_sides) == 1 and len(outs) == 2:
+                    derive(open_sides[0], False)
+
+        for k in sorted(knees):
+            for s in sorted(shoulders):
+                hk, fs = key(head, k), key(foot, s)
+                if (key(k, s) not in present or hk in present
+                        or fs in present):
+                    continue
+                if hk in absent and fs in absent:
+                    found.append((head, w1, w2, foot, k, s))
+                elif hk in absent:
+                    derive(fs, True)
+                elif fs in absent:
+                    derive(hk, True)
+                else:
+                    pending.add((hk, fs))
+
+        if found:
+            cert = min(found, key=lambda c: (len(c), sorted(c)))
+            return ("contradiction", list(derived.items()),
+                    tuple(sorted(pending)), canonical_cycle(cert))
+        if not batch:
+            return "ok", list(derived.items()), tuple(sorted(pending)), None
+        for e, val in batch.items():
+            (present if val else absent).add(e)
+            derived[e] = val
+
+
 def triangle_count_trace(n, edges):
     """Triangle count as trace(A^3)/6, an algebraically independent route."""
     a = np.zeros((n, n), dtype=np.int64)

@@ -57,6 +57,49 @@ def test_odd_pipeline(workdir, capsys, prop):
         "satisfies formula: true"
 
 
+def test_solve_roles_routes_even_instances(workdir, capsys):
+    (workdir / "two.cnf").write_text("p cnf 4 2\n4 -1 3 0\n1 -3 -2 0\n")
+    inst = workdir / "two.inst"
+    roles = workdir / "two.inst.roles.json"
+    comp = workdir / "two.comp"
+    run("reduce-even", workdir / "two.cnf", "--out", inst)
+    capsys.readouterr()
+    # The generic solver needs 12,512 nodes here.
+    assert run("solve", inst, "--property", "even-hole-free",
+               "--budget", "20") == 3
+    assert capsys.readouterr().out == "BUDGET\n"
+    assert run("solve", inst, "--property", "even-hole-free", "--budget",
+               "5", "--roles", roles, "--completion-out", comp) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "SAT"
+    assert out.splitlines()[1:] == comp.read_text().splitlines()[1:]
+    assert run("extract", comp, "--roles", roles) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "satisfies formula: true"
+
+    # Refused: a property the roles file is not for, and another instance.
+    assert run("solve", inst, "--property", "odd-hole-free",
+               "--roles", roles) == 2
+    assert "not odd-hole-free" in capsys.readouterr().err
+    other = workdir / "xyz.inst"
+    run("reduce-even", workdir / "xyz.cnf", "--out", other)
+    assert run("solve", other, "--property", "even-hole-free",
+               "--roles", roles) == 2
+    assert "does not describe" in capsys.readouterr().err
+
+
+def test_solve_roles_keeps_generic_solver_for_odd_instances(workdir, capsys):
+    inst = workdir / "odd.inst"
+    roles = workdir / "odd.roles.json"
+    run("reduce-odd", workdir / "mixed.cnf", "--property", "odd-hole-free",
+        "--out", inst, "--roles", roles)
+    assert run("solve", inst, "--property", "odd-hole-free") == 0
+    plain = capsys.readouterr().out
+    assert run("solve", inst, "--property", "odd-hole-free",
+               "--roles", roles) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_reduce_writes_parseable_instance(workdir, capsys):
     assert run("reduce-even", workdir / "xyz.cnf") == 0
     text = capsys.readouterr().out
@@ -149,6 +192,11 @@ def test_usage_errors_exit_two(workdir, capsys):
             run(command, workdir / "bad.inst", "--property", prop,
                 "--budget", "-1")
         assert info.value.code == 2
+    for text in ("5\n", "null\n"):
+        (workdir / "bad.roles.json").write_text(text)
+        assert run("extract", workdir / "bad.inst", "--roles",
+                   workdir / "bad.roles.json") == 2
+        assert "JSON object" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run("frobnicate")
     capsys.readouterr()

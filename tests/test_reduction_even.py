@@ -1,5 +1,6 @@
 """The even-hole construction: census, completions, propagation, solving."""
 
+import random
 from itertools import product
 
 import pytest
@@ -20,8 +21,11 @@ from holesandwich.reduction_even import (IncompleteOrientationError,
 from holesandwich.sandwich import (SandwichInstance, is_sandwich_graph,
                                    normalized_edge, solve, validate)
 
+from oracles import propagation_oracle
+
 XYZ = CnfFormula(3, ((1, 2, 3),))
 MIXED = CnfFormula(3, ((1, -2, 3),))
+TWO_CLAUSES = CnfFormula(4, ((4, -1, 3), (1, -3, -2)))
 
 
 def build(formula=XYZ):
@@ -198,6 +202,32 @@ def test_all_negative_orientations_contradict():
     assert result.certificate.is_chordless_in(host)
 
 
+@pytest.mark.parametrize("formula, trials", [(XYZ, 12), (TWO_CLAUSES, 4)])
+def test_propagation_matches_reference(formula, trials):
+    inst, gmap = build_even_instance(formula)
+    optional = sorted(inst.optional)
+    rng = random.Random(len(formula.clauses))
+    statuses = set()
+    for _ in range(trials):
+        decided = {e: rng.random() < 0.5
+                   for e in rng.sample(optional, rng.randint(0, 6))}
+        for i, j in gmap.incidences:
+            if rng.random() < 0.4:
+                for e in gmap.orientation_edges(i, j, rng.random() < 0.5):
+                    decided[e] = True
+        result = propagate_orientations(inst, gmap, decided)
+        status, derived, pending, certificate = propagation_oracle(
+            inst.n, inst.forced, inst.optional, decided, gmap.head,
+            gmap.foot, gmap.w1, gmap.w2, gmap.knees(), gmap.shoulders())
+        assert result.status == status
+        assert list(result.forced.items()) == derived
+        assert result.pending == pending
+        assert (result.certificate and result.certificate.vertices) == \
+            certificate
+        statuses.add((status, bool(derived)))
+    assert {("ok", True), ("contradiction", True)} <= statuses
+
+
 # -- solving --------------------------------------------------------------------
 
 def test_orientation_solver_sat_and_extracts():
@@ -226,7 +256,7 @@ def test_orientation_solver_reports_budget_exhaustion():
     assert result.completion is None
 
 
-def test_forced_falsifying_orientations_are_unsat():
+def test_forced_falsifying_orientations_are_unsat(monkeypatch):
     # Committing every variable to its negative orientation up front makes
     # the clause's knee four-cycle unavoidable, so UNSAT must be exact.
     inst, gmap = build()
@@ -243,9 +273,18 @@ def test_forced_falsifying_orientations_are_unsat():
     assert root.status == "contradiction"
     assert sorted(root.certificate.vertices) == [10, 11, 12, 13]
 
+    # Every branch is pruned; the fallback reuses the root propagation.
+    calls = []
+
+    def counting(inst, gmap, decided):
+        calls.append(dict(decided))
+        return propagate_orientations(inst, gmap, decided)
+
+    monkeypatch.setattr(reduction_even, "propagate_orientations", counting)
     result = solve_with_orientations(XYZ, committed, gmap, budget=500)
     assert result.verdict == "UNSAT"
     assert result.completion is None
+    assert calls.count({}) == 1
 
     generic = solve(committed, "even-hole-free")
     assert generic.verdict == "UNSAT"
