@@ -17,7 +17,7 @@ from .budget import BudgetExhausted
 from .cnf import CnfError, CnfFormula, parse_dimacs
 from .io import (InstanceFormatError, dump_roles, format_completion,
                  format_dot, format_instance, load_roles, parse_completion,
-                 parse_instance)
+                 parse_instance, roles_payload)
 from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
 from .reduction_even import (OrientationError, build_even_instance,
                              extract_assignment as extract_even,
@@ -33,6 +33,10 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+REDUCTIONS = {"c5-free": build_c5_instance,
+              "odd-hole-free": build_odd_hole_free_instance,
+              "even-hole-free": build_even_instance}
 
 
 class CliError(Exception):
@@ -95,14 +99,13 @@ def _rebuild_from_roles(payload):
     except (CnfError, TypeError) as exc:
         raise CliError("roles file carries a bad formula: %s" % exc)
     kind = payload["reduction"]
-    if kind == "c5-free":
-        inst, gmap = build_c5_instance(formula)
-    elif kind == "odd-hole-free":
-        inst, gmap = build_odd_hole_free_instance(formula)
-    elif kind == "even-hole-free":
-        inst, gmap = build_even_instance(formula)
-    else:
+    if not isinstance(kind, str) or kind not in REDUCTIONS:
         raise CliError("roles file names unknown reduction %r" % (kind,))
+    inst, gmap = REDUCTIONS[kind](formula)
+    expected = roles_payload(kind, formula, inst)["vertex_roles"]
+    if payload["vertex_roles"] != expected:
+        raise CliError("roles file's vertex_roles do not match the %s "
+                       "instance of its formula" % kind)
     return kind, formula, inst, gmap
 
 
@@ -110,21 +113,13 @@ def _rebuild_from_roles(payload):
 
 def _cmd_reduce(args):
     formula = _load_formula(args.cnf)
-    if args.kind == "even-hole-free":
-        kind = "even-hole-free"
-        inst, _ = build_even_instance(formula)
-    elif args.property == "odd-hole-free":
-        kind = "odd-hole-free"
-        inst, _ = build_odd_hole_free_instance(formula)
-    else:
-        kind = "c5-free"
-        inst, _ = build_c5_instance(formula)
+    inst, _ = REDUCTIONS[args.property](formula)
     _write(args.out, format_instance(inst))
     roles = args.roles
     if roles is None and args.out != "-":
         roles = args.out + ".roles.json"
     if roles is not None:
-        _write(roles, dump_roles(kind, formula, inst))
+        _write(roles, dump_roles(args.property, formula, inst))
     return EXIT_TRUE
 
 
@@ -259,7 +254,7 @@ def _parser():
     p.add_argument("--out", default="-", help="instance file (default stdout)")
     p.add_argument("--roles", default=None,
                    help="role-map JSON (default <out>.roles.json)")
-    p.set_defaults(func=_cmd_reduce, kind="odd")
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("reduce-even",
                        help="build the even-hole instance for a 3-CNF")
@@ -267,7 +262,7 @@ def _parser():
     p.add_argument("--out", default="-", help="instance file (default stdout)")
     p.add_argument("--roles", default=None,
                    help="role-map JSON (default <out>.roles.json)")
-    p.set_defaults(func=_cmd_reduce, kind="even-hole-free", property=None)
+    p.set_defaults(func=_cmd_reduce, property="even-hole-free")
 
     p = sub.add_parser("solve", help="decide a serialized sandwich instance")
     p.add_argument("instance", help="instance file, or - for stdin")

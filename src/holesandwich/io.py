@@ -163,8 +163,9 @@ def roles_payload(kind, formula, inst):
     """JSON-ready description of a reduction output.
 
     Carries the formula, so gadget maps can be rebuilt deterministically by
-    re-running the builder; vertex roles are included for human readers and
-    cross-checked on load.
+    re-running the builder; vertex roles are included for human readers, and
+    the CLI refuses a roles file whose vertex roles differ from the rebuilt
+    instance's vertex names.
     """
     return {
         "reduction": kind,

@@ -25,16 +25,14 @@ import itertools
 from dataclasses import dataclass, field
 
 from .budget import Budget, BudgetExhausted
-from .graph import Cycle, Graph
+from .graph import Cycle
 from .recognition import DEFAULT_CHECK_BUDGET, check
-from .sandwich import (Completion, SandwichInstance, SolveResult,
-                       normalized_edge, solve)
+from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
+                       SolveResult, normalized_edge, solve)
 
 IN, OUT, UND = 1, 0, 2
 
 POSITIVE, NEGATIVE = "positive", "negative"
-
-DEFAULT_ORIENTATION_BUDGET = 10 ** 5
 
 
 class OrientationError(Exception):
@@ -216,16 +214,6 @@ def completion_from_assignment(formula, assignment, gmap):
     return gmap.instance.realize(chosen)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Per-incidence orientation statuses: positive, negative, both, none."""
-
-    status: dict
-
-    def value(self, var, clause):
-        return self.status[(var, clause)]
-
-
 def read_orientation(gmap, g, var, clause):
     """Orientation of one incidence in a realized graph.
 
@@ -243,11 +231,6 @@ def read_orientation(gmap, g, var, clause):
     return "none"
 
 
-def read_orientations(gmap, g):
-    return Orientation({(i, j): read_orientation(gmap, g, i, j)
-                        for i, j in gmap.incidences})
-
-
 def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's orientations.
 
@@ -259,22 +242,21 @@ def extract_assignment(gmap, g):
     oriented variable's shoulder, defaulting to false when the instance has
     no clauses.
     """
-    orientation = read_orientations(gmap, g)
     assignment = {}
     anchor = None
     for i in range(1, gmap.num_vars + 1):
         incidences = gmap.variable_incidences(i)
         if not incidences:
             continue
-        statuses = {orientation.value(i, j) for j in incidences}
+        status = {j: read_orientation(gmap, g, i, j) for j in incidences}
+        statuses = set(status.values())
         if "both" in statuses or (POSITIVE in statuses and NEGATIVE in statuses):
             witness = (gmap.head, gmap.shoulder[i], gmap.foot,
                        gmap.shoulder[-i])
             raise MixedOrientationError(
                 "variable %d carries both orientations" % i, witness=witness)
         if "none" in statuses:
-            j = next(j for j in incidences
-                     if orientation.value(i, j) == "none")
+            j = next(j for j in incidences if status[j] == "none")
             raise IncompleteOrientationError(
                 "incidence (%d, clause %d) has no orientation" % (i, j),
                 witness=(i, j))
@@ -428,36 +410,29 @@ def propagate_orientations(inst, gmap, decided):
 
 
 def solve_with_orientations(formula, inst, gmap,
-                            budget=DEFAULT_ORIENTATION_BUDGET,
+                            budget=DEFAULT_SOLVE_BUDGET,
                             check_budget=DEFAULT_CHECK_BUDGET):
     """Sandwich search for even-hole-free seeded by orientation branching.
 
-    Depth-first over variables, deciding one orientation bundle per branch
-    and propagating after each decision; a leaf realizes the canonical
-    completion for the branch assignment and re-checks it.  A satisfying
+    Depth-first over variables, positive orientation first.  Each call is
+    one search node: with a variable left it propagates its decisions and
+    branches on that variable's orientation bundle; a leaf realizes the
+    canonical completion for its assignment and re-checks it.  A satisfying
     assignment whose completion fails the check means the construction is
-    broken, and raises AssertionError.  If every branch is pruned, the
-    generic solver finishes the job on the instance reduced by the root
-    propagation, so UNSAT stays exact.  `budget` caps nodes of both searches
-    together and `check_budget` each recognition search; None means
-    unlimited.
+    broken, and raises AssertionError.  A contradiction at the root is an
+    exact UNSAT.  If every branch is pruned, the generic solver decides
+    `inst` itself, so UNSAT stays exact.  `budget` caps nodes of both
+    searches together and `check_budget` each recognition search; None
+    means unlimited.
     """
     tracker = Budget(budget)
-    order = list(range(1, formula.num_vars + 1))
 
-    def visit(decided):
+    def descend(decided, assignment):
         tracker.spend()
-        return propagate_orientations(inst, gmap, decided)
-
-    def descend(decided, result, assignment, idx):
-        if result.status == "contradiction":
-            return None
-        merged = dict(decided)
-        merged.update(result.forced)
-        if idx == len(order):
+        var = len(assignment) + 1
+        if var > formula.num_vars:
             g = completion_from_assignment(formula, assignment, gmap)
-            ok, _ = check(g, "even-hole-free", budget=check_budget)
-            if ok:
+            if check(g, "even-hole-free", budget=check_budget)[0]:
                 chosen = frozenset(e for e in inst.optional
                                    if g.has_edge(*e))
                 return SolveResult("SAT", Completion(chosen), tracker.spent)
@@ -466,52 +441,33 @@ def solve_with_orientations(formula, inst, gmap,
                     "canonical completion of satisfying assignment %r of %r "
                     "is not even-hole-free" % (assignment, formula))
             return None
-        var = order[idx]
+        result = propagate_orientations(inst, gmap, decided)
+        if result.status == "contradiction":
+            # Propagation is sound, so a root contradiction (no decisions)
+            # rules out every even-hole-free sandwich graph.
+            return None if assignment else SolveResult("UNSAT", None,
+                                                       tracker.spent)
+        merged = {**decided, **result.forced}
         for positive in (True, False):
-            trial = dict(merged)
-            conflict = False
-            for j in gmap.variable_incidences(var):
-                for e in gmap.orientation_edges(var, j, positive):
-                    if trial.get(e, True) is False:
-                        conflict = True
-                    trial[e] = True
-            if conflict:
+            bundle = [e for j in gmap.variable_incidences(var)
+                      for e in gmap.orientation_edges(var, j, positive)]
+            if any(merged.get(e) is False for e in bundle):
                 continue
-            found = descend(trial, visit(trial),
-                            {**assignment, var: positive}, idx + 1)
+            found = descend({**merged, **dict.fromkeys(bundle, True)},
+                            {**assignment, var: positive})
             if found is not None:
                 return found
         return None
 
     try:
-        root = visit({})
-        found = descend({}, root, {}, 0)
+        found = descend({}, {})
     except BudgetExhausted:
         return SolveResult("BUDGET", None, tracker.spent, frontier=1)
     if found is not None:
         return found
-
-    if root.status == "contradiction":
-        return SolveResult("UNSAT", None, tracker.spent)
     if tracker.remaining == 0:
         return SolveResult("BUDGET", None, tracker.spent, frontier=1)
-    reduced = _reduced_instance(inst, root.forced)
-    fallback = solve(reduced, "even-hole-free", budget=tracker.remaining,
+    fallback = solve(inst, "even-hole-free", budget=tracker.remaining,
                      check_budget=check_budget)
-    completion = fallback.completion
-    if fallback.verdict == "SAT":
-        extra_in = frozenset(e for e, v in root.forced.items() if v)
-        completion = Completion(frozenset(completion.chosen) | extra_in)
-    return SolveResult(fallback.verdict, completion,
+    return SolveResult(fallback.verdict, fallback.completion,
                        tracker.spent + fallback.nodes, fallback.frontier)
-
-
-def _reduced_instance(inst, forced_decisions):
-    extra_in = {e for e, v in forced_decisions.items() if v}
-    out = {e for e, v in forced_decisions.items() if not v}
-    return SandwichInstance.build(
-        inst.n,
-        inst.forced | extra_in,
-        (inst.optional - extra_in) - out,
-        inst.names)
-

@@ -1,5 +1,6 @@
 """Command-line behaviour: pipelines, exit codes, file round trips."""
 
+import json
 import subprocess
 import sys
 
@@ -197,6 +198,19 @@ def test_usage_errors_exit_two(workdir, capsys):
         assert run("extract", workdir / "bad.inst", "--roles",
                    workdir / "bad.roles.json") == 2
         assert "JSON object" in capsys.readouterr().err
+    inst, comp = workdir / "xyz.inst", workdir / "xyz.comp"
+    run("reduce-even", workdir / "xyz.cnf", "--out", inst)
+    run("solve", inst, "--property", "even-hole-free", "--completion-out",
+        comp)
+    roles = json.loads((workdir / "xyz.inst.roles.json").read_text())
+    roles["vertex_roles"]["0"] = "bogus"
+    del roles["vertex_roles"]["5"]
+    (workdir / "bad.roles.json").write_text(json.dumps(roles))
+    capsys.readouterr()
+    for argv in (("extract", comp),
+                 ("solve", inst, "--property", "even-hole-free")):
+        assert run(*argv, "--roles", workdir / "bad.roles.json") == 2
+        assert "vertex_roles" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run("frobnicate")
     capsys.readouterr()

@@ -240,6 +240,43 @@ def test_orientation_solver_sat_and_extracts():
         assert formula.satisfied_by(extract_assignment(gmap, g))
 
 
+def random_formula(rng, num_vars, num_clauses):
+    return CnfFormula(num_vars, tuple(
+        tuple(v if rng.random() < 0.5 else -v
+              for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(num_clauses)))
+
+
+def test_orientation_solver_finds_the_first_satisfying_assignment():
+    # Positive orientation first, variable 1 first: the reverse of the
+    # counter order of all_assignments.
+    rng = random.Random(5)
+    formulas = [random_formula(rng, 4, 2) for _ in range(4)]
+    formulas += [CnfFormula(4, ((4, -3, 1),)), CnfFormula(5, ((4, -5, 2),)),
+                 CnfFormula(4, ((-1, -2, -3),))]
+    for formula in formulas:
+        inst, gmap = build_even_instance(formula)
+        first = next(a for a in reversed(list(all_assignments(
+            formula.num_vars))) if formula.satisfied_by(a))
+        result = solve_with_orientations(formula, inst, gmap)
+        assert result.verdict == "SAT"
+        assert result.completion.chosen == \
+            chosen_edges_for_assignment(formula, first, gmap), formula
+
+
+def test_orientation_leaves_skip_propagation(monkeypatch):
+    calls = []
+
+    def counting(inst, gmap, decided):
+        calls.append(dict(decided))
+        return propagate_orientations(inst, gmap, decided)
+
+    monkeypatch.setattr(reduction_even, "propagate_orientations", counting)
+    inst, gmap = build()
+    result = solve_with_orientations(XYZ, inst, gmap)
+    assert (result.verdict, result.nodes, len(calls)) == ("SAT", 4, 3)
+
+
 def test_broken_construction_raises_at_a_satisfying_leaf(monkeypatch):
     # The forced graph keeps every incidence six-cycle, an even hole.
     inst, gmap = build()
@@ -247,6 +284,22 @@ def test_broken_construction_raises_at_a_satisfying_leaf(monkeypatch):
                         lambda formula, assignment, gmap: gmap.instance.g1())
     with pytest.raises(AssertionError, match="satisfying assignment"):
         solve_with_orientations(XYZ, inst, gmap)
+
+
+def test_fallback_decides_when_every_leaf_fails(monkeypatch):
+    # Every leaf fails its check and no assignment counts as satisfying, so
+    # every branch is pruned and the generic solver decides the instance.
+    inst, gmap = build()
+    monkeypatch.setattr(reduction_even, "completion_from_assignment",
+                        lambda formula, assignment, gmap: gmap.instance.g1())
+    monkeypatch.setattr(CnfFormula, "satisfied_by",
+                        lambda self, assignment: False)
+    result = solve_with_orientations(XYZ, inst, gmap, budget=None)
+    assert result.verdict == "SAT"
+    g = inst.realize(result.completion.chosen)
+    assert is_sandwich_graph(inst, g)
+    assert check(g, "even-hole-free")[0]
+    assert result.nodes == 323
 
 
 def test_orientation_solver_reports_budget_exhaustion():
