@@ -50,16 +50,6 @@ def _budget(text):
     return value
 
 
-def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise CliError("cannot read %s: %s" % (path, exc))
-
-
 def _write(path, text):
     if path == "-":
         sys.stdout.write(text)
@@ -71,31 +61,26 @@ def _write(path, text):
         raise CliError("cannot write %s: %s" % (path, exc))
 
 
-def _load_instance(path):
+def _parse(path, parse, *context):
+    """`parse` applied to the text of file `path` (- for stdin); a file that
+    cannot be read or parsed is a usage error."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CliError("cannot read %s: %s" % (path, exc))
     try:
-        return parse_instance(_read(path))
-    except InstanceFormatError as exc:
-        raise CliError("%s: %s" % (path, exc))
-
-
-def _load_formula(path):
-    try:
-        return parse_dimacs(_read(path))
-    except CnfError as exc:
-        raise CliError("%s: %s" % (path, exc))
-
-
-def _load_roles(path):
-    try:
-        return load_roles(_read(path))
-    except InstanceFormatError as exc:
+        return parse(text, *context)
+    except (CnfError, InstanceFormatError) as exc:
         raise CliError("%s: %s" % (path, exc))
 
 
 def _rebuild_from_roles(payload):
     try:
-        formula = CnfFormula(payload["num_vars"],
-                             tuple(tuple(c) for c in payload["clauses"]))
+        formula = CnfFormula(payload["num_vars"], payload["clauses"])
     except (CnfError, TypeError) as exc:
         raise CliError("roles file carries a bad formula: %s" % exc)
     kind = payload["reduction"]
@@ -112,7 +97,7 @@ def _rebuild_from_roles(payload):
 # -- subcommand handlers ------------------------------------------------------
 
 def _cmd_reduce(args):
-    formula = _load_formula(args.cnf)
+    formula = _parse(args.cnf, parse_dimacs)
     inst, _ = REDUCTIONS[args.property](formula)
     _write(args.out, format_instance(inst))
     roles = args.roles
@@ -124,12 +109,12 @@ def _cmd_reduce(args):
 
 
 def _cmd_solve(args):
-    inst = _load_instance(args.instance)
+    inst = _parse(args.instance, parse_instance)
     if args.roles is None:
         result = solve(inst, args.property, budget=args.budget)
     else:
         kind, formula, rebuilt, gmap = _rebuild_from_roles(
-            _load_roles(args.roles))
+            _parse(args.roles, load_roles))
         if kind != args.property:
             raise CliError("roles file is for %s, not %s"
                            % (kind, args.property))
@@ -156,15 +141,11 @@ def _cmd_solve(args):
 
 
 def _cmd_check(args):
-    inst = _load_instance(args.instance)
+    inst = _parse(args.instance, parse_instance)
     if args.completion is not None and args.graph is not None:
         raise CliError("--completion and --graph are mutually exclusive")
     if args.completion is not None:
-        try:
-            chosen = parse_completion(_read(args.completion), inst)
-        except InstanceFormatError as exc:
-            raise CliError("%s: %s" % (args.completion, exc))
-        g = inst.realize(chosen)
+        g = inst.realize(_parse(args.completion, parse_completion, inst))
     elif args.graph == "g1":
         g = inst.g1()
     elif args.graph == "g2":
@@ -183,18 +164,15 @@ def _cmd_check(args):
 
 
 def _cmd_complement(args):
-    inst = _load_instance(args.instance)
+    inst = _parse(args.instance, parse_instance)
     _write(args.out, format_instance(complement_instance(inst)))
     return EXIT_TRUE
 
 
 def _cmd_extract(args):
-    kind, formula, inst, gmap = _rebuild_from_roles(_load_roles(args.roles))
-    try:
-        chosen = parse_completion(_read(args.completion), inst)
-    except InstanceFormatError as exc:
-        raise CliError("%s: %s" % (args.completion, exc))
-    g = inst.realize(chosen)
+    kind, formula, inst, gmap = _rebuild_from_roles(
+        _parse(args.roles, load_roles))
+    g = inst.realize(_parse(args.completion, parse_completion, inst))
     try:
         if kind == "even-hole-free":
             assignment = extract_even(gmap, g)
@@ -224,13 +202,10 @@ def _cmd_verify(args):
 
 
 def _cmd_export_dot(args):
-    inst = _load_instance(args.instance)
+    inst = _parse(args.instance, parse_instance)
     chosen = None
     if args.completion is not None:
-        try:
-            chosen = parse_completion(_read(args.completion), inst)
-        except InstanceFormatError as exc:
-            raise CliError("%s: %s" % (args.completion, exc))
+        chosen = _parse(args.completion, parse_completion, inst)
     _write(args.out, format_dot(inst, chosen, graph_name=args.name))
     return EXIT_TRUE
 

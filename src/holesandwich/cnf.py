@@ -7,7 +7,7 @@ built on top rely on both restrictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 
@@ -15,28 +15,26 @@ class CnfError(Exception):
     """Malformed formula text or clause structure."""
 
 
-@dataclass(frozen=True)
-class CnfFormula:
+class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
     """A 3-CNF formula; variables are 1..num_vars, literals signed ints."""
 
-    num_vars: int
-    clauses: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_vars < 0:
+    def __new__(cls, num_vars, clauses):
+        if num_vars < 0:
             raise CnfError("negative variable count")
-        object.__setattr__(self, "clauses",
-                           tuple(tuple(c) for c in self.clauses))
-        for idx, clause in enumerate(self.clauses, start=1):
+        clauses = tuple(tuple(c) for c in clauses)
+        for idx, clause in enumerate(clauses, start=1):
             if len(clause) != 3:
                 raise CnfError("clause %d has %d literals, want exactly 3"
                                % (idx, len(clause)))
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > num_vars:
                     raise CnfError("clause %d: literal %d out of range"
                                    % (idx, lit))
             if len({abs(lit) for lit in clause}) != 3:
                 raise CnfError("clause %d repeats a variable" % idx)
+        return super().__new__(cls, num_vars, clauses)
 
     @property
     def num_clauses(self):

@@ -12,7 +12,6 @@ they can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget, BudgetExhausted
@@ -129,19 +128,36 @@ def induced(g, subset):
     return g.induced(subset)
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, *value):
+    """__setattr__ and __delattr__ of the immutable value classes."""
+    raise AttributeError("%s is immutable" % type(self).__name__)
+
+
 class Cycle:
     """A cycle stored in canonical vertex order.
 
     Canonical form is the lexicographically least among all rotations and
     reflections of the vertex sequence, so equal cycles compare equal no
-    matter how they were traversed.
+    matter how they were traversed.  Cycles are immutable values.
     """
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", canonical_rotation(self.vertices))
+    def __init__(self, vertices):
+        object.__setattr__(self, "vertices", canonical_rotation(vertices))
+
+    def __eq__(self, other):
+        return other.__class__ is Cycle and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
+
+    def __reduce__(self):
+        return Cycle, (self.vertices,)
+
+    def __repr__(self):
+        return "Cycle(%r)" % (self.vertices,)
 
     @property
     def length(self):
@@ -219,6 +235,23 @@ def iter_chordless_cycles(g, min_len=4, budget=None, max_len=None):
                 # Reversed push order so the smallest candidate pops first.
                 for y in reversed(tuple(_bits(extending))):
                     stack.append((path + (y,), block | (1 << y) | adj[tail]))
+
+
+def is_bipartite(g):
+    """True when `g` is 2-colourable, i.e. has no odd cycle: breadth-first by
+    level masks, an odd cycle shows as an edge inside one level."""
+    unseen = (1 << g.n) - 1
+    while unseen:
+        level = unseen & -unseen
+        while level:
+            unseen &= ~level
+            reach = 0
+            for v in _bits(level):
+                reach |= g.adj[v]
+            if reach & level:
+                return False
+            level = reach & unseen
+    return True
 
 
 def chordless_cycles(g, min_len=4, budget=None):

@@ -38,7 +38,7 @@ def parse_instance(text):
         if kind == "sandwich":
             if n is not None:
                 raise InstanceFormatError("line %d: duplicate header" % lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise InstanceFormatError(
                     "line %d: header must be 'sandwich <n>'" % lineno)
             n = int(parts[1])
@@ -114,7 +114,8 @@ def parse_completion(text, inst=None):
         if parts[0] == "completion":
             if seen_header:
                 raise InstanceFormatError("line %d: duplicate header" % lineno)
-            if len(parts) > 2 or (len(parts) == 2 and not parts[1].isdigit()):
+            if len(parts) > 2 or (len(parts) == 2 and not (
+                    parts[1].isascii() and parts[1].isdigit())):
                 raise InstanceFormatError(
                     "line %d: header must be 'completion [<count>]'" % lineno)
             if len(parts) == 2:

@@ -18,11 +18,11 @@ guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .budget import Budget
-from .graph import Cycle, _bits, iter_chordless_cycles
+from .graph import Cycle, _bits, is_bipartite, iter_chordless_cycles
 
 PROPERTY_IDS = (
     "chordal",
@@ -37,8 +37,7 @@ DEFAULT_CHECK_BUDGET = 10 ** 7
 C5_SCAN_MAX_VERTICES = 40
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "kind vertices")):
     """Evidence for a recognition verdict.
 
     kind "peo":      vertices is a perfect elimination order (each vertex's
@@ -47,8 +46,7 @@ class Certificate:
     kind "antihole": vertices is a chordless cycle of the complement.
     """
 
-    kind: str
-    vertices: tuple
+    __slots__ = ()
 
 
 def is_chordal(g, budget=DEFAULT_CHECK_BUDGET):
@@ -85,13 +83,13 @@ def is_chordal(g, budget=DEFAULT_CHECK_BUDGET):
 def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
     """Certificate of the first structure in `g` violating `prop`, or None.
 
-    chordal: the first chordless cycle of length >= 4, searched only after
-    the MCS order fails its perfect-elimination check; c5-free: an induced
-    five-cycle; odd- and even-hole-free: the first chordless cycle of that
-    parity; odd-antihole-free: the first odd hole of the complement; berge:
-    an odd hole, else an odd antihole.  Cycles come in canonical enumeration
-    order.  The certificate's vertex set lives in `g` either way, and every
-    way to destroy the structure adds some non-edge inside it.
+    chordal: the first chordless cycle of length >= 4, searched only after the
+    MCS order fails its perfect-elimination check; c5-free: an induced C5;
+    odd- and even-hole-free: the first chordless cycle of that parity, none
+    odd in a 2-colourable `g`; odd-antihole-free: the first odd hole of the
+    complement; berge: an odd hole, else an odd antihole.  Cycles come in
+    canonical enumeration order.  The certificate's vertex set lives in `g`
+    either way, and every way to destroy the structure adds a non-edge in it.
 
     `budget` caps cycle-search expansions, shared by all searches of one
     call; None means unlimited.  Exhaustion raises BudgetExhausted.
@@ -107,7 +105,7 @@ def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
         return None if c5 is None else Certificate("hole", c5)
     if prop in ("odd-hole-free", "even-hole-free", "berge"):
         parity = 0 if prop == "even-hole-free" else 1
-        hole = _first_cycle(g, tracker, parity)
+        hole = None if parity and is_bipartite(g) else _first_cycle(g, tracker, parity)
         if hole is not None:
             return Certificate("hole", hole.vertices)
     if prop in ("odd-antihole-free", "berge"):

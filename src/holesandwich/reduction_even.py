@@ -22,7 +22,7 @@ shoulder to every knee.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .budget import Budget, BudgetExhausted
 from .graph import Cycle
@@ -53,7 +53,6 @@ class IncompleteOrientationError(OrientationError):
     (variable, clause) pair."""
 
 
-@dataclass
 class EvenGadgetMap:
     """Vertex roles of a built instance.
 
@@ -63,16 +62,13 @@ class EvenGadgetMap:
     back-reference to the built SandwichInstance.
     """
 
-    num_vars: int
-    clauses: tuple
-    head: int = 0
-    foot: int = 0
-    w1: int = 0
-    w2: int = 0
-    shoulder: dict = field(default_factory=dict)
-    knee: dict = field(default_factory=dict)
-    incidences: tuple = ()
-    instance: SandwichInstance | None = None
+    def __init__(self, num_vars, clauses, head=0, foot=0, w1=0, w2=0,
+                 shoulder=None, knee=None, incidences=(), instance=None):
+        self.num_vars, self.clauses = num_vars, clauses
+        self.head, self.foot, self.w1, self.w2 = head, foot, w1, w2
+        self.shoulder = {} if shoulder is None else shoulder
+        self.knee = {} if knee is None else knee
+        self.incidences, self.instance = incidences, instance
 
     def orientation_edges(self, var, clause, positive):
         """The three optional edges of one orientation of one incidence."""
@@ -274,8 +270,9 @@ def extract_assignment(gmap, g):
     return assignment
 
 
-@dataclass(frozen=True)
-class PropagationResult:
+class PropagationResult(namedtuple("PropagationResult",
+                                   "status forced pending certificate",
+                                   defaults=(None,))):
     """Outcome of orientation propagation.
 
     status is "ok" or "contradiction"; forced maps optional edges to the
@@ -285,10 +282,7 @@ class PropagationResult:
     the graph of forced plus decided-in edges.
     """
 
-    status: str
-    forced: dict
-    pending: tuple
-    certificate: Cycle | None = None
+    __slots__ = ()
 
 
 def propagate_orientations(inst, gmap, decided):
@@ -469,5 +463,4 @@ def solve_with_orientations(formula, inst, gmap,
         return SolveResult("BUDGET", None, tracker.spent, frontier=1)
     fallback = solve(inst, "even-hole-free", budget=tracker.remaining,
                      check_budget=check_budget)
-    return SolveResult(fallback.verdict, fallback.completion,
-                       tracker.spent + fallback.nodes, fallback.frontier)
+    return fallback._replace(nodes=tracker.spent + fallback.nodes)

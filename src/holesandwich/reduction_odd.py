@@ -37,7 +37,7 @@ graph share a single forced edge):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .graph import Cycle, _bits, find_subgraph, gem_graph, triangles
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
@@ -53,7 +53,6 @@ class GadgetError(Exception):
         self.witness = witness
 
 
-@dataclass
 class OddGadgetMap:
     """Vertex roles of a built instance, keyed the way the builder thinks.
 
@@ -63,20 +62,20 @@ class OddGadgetMap:
     occurrence, in release-to-variable order.
     """
 
-    num_vars: int
-    clauses: tuple
-    variable_cycle: dict = field(default_factory=dict)   # var -> 5 vertices
-    true_chord: dict = field(default_factory=dict)       # var -> edge
-    false_chord: dict = field(default_factory=dict)      # var -> edge
-    clause_cycle: dict = field(default_factory=dict)     # clause -> (p1..p5)
-    clause_edges: dict = field(default_factory=dict)     # clause -> 3 optional edges
-    guard_vertices: dict = field(default_factory=dict)   # (clause, q) -> (l, t, z)
-    guard_cycle: dict = field(default_factory=dict)      # (clause, q) -> 5 vertices
-    release_edge: dict = field(default_factory=dict)     # (clause, q) -> edge
-    repeater_cycle: dict = field(default_factory=dict)   # (clause, q, side) -> 5 vertices
-    repeater_chords: dict = field(default_factory=dict)  # (clause, q, side) -> (out, in)
-    connectors: dict = field(default_factory=dict)       # (clause, q) -> 3 aux vertices
-    link_cycles: dict = field(default_factory=dict)      # (clause, q) -> 3 cycles
+    def __init__(self, num_vars, clauses):
+        self.num_vars, self.clauses = num_vars, clauses
+        self.variable_cycle = {}   # var -> 5 vertices
+        self.true_chord = {}       # var -> edge
+        self.false_chord = {}      # var -> edge
+        self.clause_cycle = {}     # clause -> (p1..p5)
+        self.clause_edges = {}     # clause -> 3 optional edges
+        self.guard_vertices = {}   # (clause, q) -> (l, t, z)
+        self.guard_cycle = {}      # (clause, q) -> 5 vertices
+        self.release_edge = {}     # (clause, q) -> edge
+        self.repeater_cycle = {}   # (clause, q, side) -> 5 vertices
+        self.repeater_chords = {}  # (clause, q, side) -> (out, in)
+        self.connectors = {}       # (clause, q) -> 3 aux vertices
+        self.link_cycles = {}      # (clause, q) -> 3 cycles
 
     def gadget_five_cycles(self):
         """Every five-cycle that can become an induced C5, with the optional
@@ -308,27 +307,20 @@ def extract_assignment(gmap, g):
     return assignment
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "ok witness detail",
+                             defaults=(None, ""))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(namedtuple(
+        "StructuralReport", "forced_triangle_free optional_component_shapes"
+        " triangle_sharing no_gem_subgraph")):
     """The four structural guarantees the construction's proof leans on."""
 
-    forced_triangle_free: CheckResult
-    optional_component_shapes: CheckResult
-    triangle_sharing: CheckResult
-    no_gem_subgraph: CheckResult
+    __slots__ = ()
 
     def all_ok(self):
-        return (self.forced_triangle_free.ok
-                and self.optional_component_shapes.ok
-                and self.triangle_sharing.ok
-                and self.no_gem_subgraph.ok)
+        return all(result.ok for result in self)
 
 
 def structural_report(inst):

@@ -13,11 +13,11 @@ solvability for the complementary property.  The transform is an involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .budget import Budget, BudgetExhausted
-from .graph import Graph
+from .graph import Graph, _immutable
 from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
                           first_violation)
 
@@ -33,14 +33,28 @@ def normalized_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
 class SandwichInstance:
     """Vertex count, forced edges, optional edges; forbidden pairs implicit."""
 
-    n: int
-    forced: frozenset
-    optional: frozenset
-    names: tuple = None
+    __slots__ = ("n", "forced", "optional", "names")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, n, forced, optional, names=None):
+        for field, value in zip(self.__slots__, (n, forced, optional, names)):
+            object.__setattr__(self, field, value)
+
+    def __reduce__(self):
+        return SandwichInstance, (self.n, self.forced, self.optional, self.names)
+
+    def __eq__(self, other):
+        return (other.__class__ is SandwichInstance
+                and self.__reduce__() == other.__reduce__())
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return "SandwichInstance%r" % (self.__reduce__()[1],)
 
     @staticmethod
     def build(n, forced, optional, names=None):
@@ -122,22 +136,21 @@ def is_sandwich_graph(inst, g):
     return inst.forced <= edges and edges <= (inst.forced | inst.optional)
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(namedtuple("Completion", "chosen")):
     """The optional edges chosen by a successful solve."""
 
-    chosen: frozenset
+    __slots__ = ()
 
     def realize(self, inst):
         return inst.realize(self.chosen)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    verdict: str            # "SAT" | "UNSAT" | "BUDGET"
-    completion: Completion | None
-    nodes: int              # search nodes explored
-    frontier: int = 0       # unexplored alternative branches at a BUDGET stop
+class SolveResult(namedtuple("SolveResult", "verdict completion nodes frontier",
+                             defaults=(0,))):
+    """verdict: "SAT", "UNSAT" or "BUDGET"; nodes: search nodes explored;
+    frontier: unexplored alternative branches at a BUDGET stop."""
+
+    __slots__ = ()
 
 
 def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BUDGET):

@@ -14,7 +14,7 @@ test.  All randomness is seeded and the seed is reported in each result.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 
 from .cnf import CnfFormula
@@ -32,12 +32,9 @@ from .sandwich import (SOLVABLE_PROPERTY_IDS, SandwichInstance,
 DEFAULT_SEED = 20240901
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult",
+                                 "number name passed detail")):
+    __slots__ = ()
 
 
 # -- local oracle -----------------------------------------------------------

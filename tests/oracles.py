@@ -57,6 +57,13 @@ def is_induced_cycle(edges, subset):
     return len(seen) == len(subset)
 
 
+def is_two_colourable(n, edges):
+    """True when some split of the n vertices into two sides puts the ends
+    of every edge on different sides."""
+    return any(all((side >> u & 1) != (side >> v & 1) for u, v in edges)
+               for side in range(1 << n))
+
+
 def cycle_order(edges, subset):
     """Vertex order of the cycle induced by `subset`, canonical direction.
 

@@ -1,11 +1,13 @@
 """Command-line behaviour: pipelines, exit codes, file round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import holesandwich
 from holesandwich.cli import main
 from holesandwich.io import parse_instance
 
@@ -193,6 +195,16 @@ def test_usage_errors_exit_two(workdir, capsys):
             run(command, workdir / "bad.inst", "--property", prop,
                 "--budget", "-1")
         assert info.value.code == 2
+    # A superscript two passes str.isdigit() but not int(); a Latin-1 byte is
+    # not UTF-8.  Both are parse errors, not tracebacks.
+    (workdir / "ok.inst").write_text("sandwich 3\no 0 1\n")
+    (workdir / "sup.inst").write_text("sandwich \u00b2\n", encoding="utf-8")
+    (workdir / "sup.comp").write_text("completion \u00b2\n", encoding="utf-8")
+    (workdir / "latin1.inst").write_bytes(b"# caf\xe9\nsandwich 3\n")
+    for argv in ((workdir / "sup.inst",), (workdir / "latin1.inst",),
+                 (workdir / "ok.inst", "--completion", workdir / "sup.comp")):
+        assert run("check", *argv, "--property", "chordal") == 2
+        assert "error:" in capsys.readouterr().err
     for text in ("5\n", "null\n"):
         (workdir / "bad.roles.json").write_text(text)
         assert run("extract", workdir / "bad.inst", "--roles",
@@ -260,3 +272,15 @@ def test_module_entry_point(workdir):
         capture_output=True, text=True)
     assert done.returncode == 0
     assert done.stdout.startswith("sandwich 16")
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every CLI command runs in a fresh process; importing these two modules
+    # would add about 18 ms and 1 MiB to each one's start-up.
+    src = os.path.dirname(os.path.dirname(holesandwich.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import holesandwich.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            % src)
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

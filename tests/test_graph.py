@@ -12,10 +12,11 @@ from holesandwich.graph import (Cycle, Graph, canonical_rotation,
                                 chordless_cycles, complement, complete_graph,
                                 contains_subgraph, cycle_graph,
                                 find_induced_path, find_subgraph, gem_graph,
-                                induced, path_graph, triangles)
+                                induced, is_bipartite, path_graph, triangles)
 
 from oracles import (chordless_cycles_oracle, complement_edges, edge_set,
-                     is_induced_cycle, petersen_edges, triangle_count_trace)
+                     is_induced_cycle, is_two_colourable, petersen_edges,
+                     triangle_count_trace)
 
 
 def small_graphs(max_n=7):
@@ -129,6 +130,19 @@ def test_chordless_cycles_budget_carries_partial():
     with pytest.raises(BudgetExhausted) as info:
         chordless_cycles(g, budget=40)
     assert isinstance(info.value.partial, list)
+
+
+@given(small_graphs())
+def test_is_bipartite_matches_two_colouring_oracle(g):
+    assert is_bipartite(g) == is_two_colourable(g.n, g.edges())
+
+
+def test_is_bipartite_sees_an_odd_cycle_in_any_component():
+    assert is_bipartite(Graph(0)) and is_bipartite(cycle_graph(8))
+    square_and_pentagon = Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3)]
+                                + [(4 + i, 4 + (i + 1) % 5) for i in range(5)])
+    assert not is_bipartite(square_and_pentagon)
+    assert not is_bipartite(Graph(10, petersen_edges()))
 
 
 # -- triangles and subgraphs --------------------------------------------------

@@ -62,6 +62,16 @@ def test_bipartite_graphs_are_odd_hole_free():
         assert ok and cert is None
 
 
+def test_bipartite_graphs_skip_the_odd_hole_search():
+    # K20,20 has 36,100 four-holes; enumerating them to rule out an odd hole
+    # spends far more than 1,000 expansions.
+    k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    for prop in ("odd-hole-free", "berge"):
+        assert check(k20, prop, budget=1000) == (True, None)
+    ok, cert = check(k20, "even-hole-free", budget=1000)
+    assert not ok and len(cert.vertices) == 4
+
+
 def test_six_cycle_is_berge():
     ok, cert = check(cycle_graph(6), "berge")
     assert ok and cert is None

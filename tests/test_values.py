@@ -1,0 +1,81 @@
+"""Value semantics of the result and certificate records.
+
+Cycles, certificates, instances, solve results and formulas are immutable
+values: equal contents compare equal and hash equal, and no attribute can be
+assigned or deleted after construction.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from holesandwich.cnf import CnfFormula
+from holesandwich.graph import Cycle
+from holesandwich.recognition import Certificate
+from holesandwich.sandwich import Completion, SandwichInstance, SolveResult
+
+SQUARE = {(0, 1), (1, 2), (2, 3), (0, 3)}
+
+
+# (value, an equal value built separately, one of its field names)
+EQUAL_PAIRS = [
+    pytest.param(Cycle((3, 1, 0, 2)), Cycle([0, 1, 3, 2]), "vertices",
+                 id="Cycle"),
+    pytest.param(Certificate("hole", (0, 1, 2, 3)),
+                 Certificate("hole", (0, 1, 2, 3)), "kind", id="Certificate"),
+    pytest.param(SandwichInstance.build(4, SQUARE, {(0, 2)}, "abcd"),
+                 SandwichInstance.build(4, {(1, 0), (2, 1), (3, 2), (3, 0)},
+                                        [(2, 0)], ["a", "b", "c", "d"]),
+                 "forced", id="SandwichInstance"),
+    pytest.param(SolveResult("SAT", Completion(frozenset({(0, 2)})), 3),
+                 SolveResult("SAT", Completion(frozenset({(0, 2)})), 3,
+                             frontier=0),
+                 "verdict", id="SolveResult"),
+    pytest.param(CnfFormula(3, [[1, -2, 3]]), CnfFormula(3, ((1, -2, 3),)),
+                 "clauses", id="CnfFormula"),
+]
+
+
+@pytest.mark.parametrize("value,twin,field", EQUAL_PAIRS)
+def test_equal_values_compare_and_hash_equal(value, twin, field):
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin)
+    assert len({value, twin}) == 1
+    assert copy.copy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize("value,twin,field", EQUAL_PAIRS)
+def test_fields_cannot_be_assigned_or_deleted(value, twin, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, field) == before and value == twin
+
+
+def test_different_values_differ():
+    assert Cycle((0, 1, 2, 3)) != Cycle((0, 2, 1, 3))
+    assert SandwichInstance.build(4, SQUARE, set()) != \
+        SandwichInstance.build(4, SQUARE, {(0, 2)})
+    assert SolveResult("SAT", None, 3) != SolveResult("SAT", None, 4)
+    assert CnfFormula(3, ((1, 2, 3),)) != CnfFormula(4, ((1, 2, 3),))
+
+
+def test_cycle_equals_its_rotations_and_reflections_only():
+    base = Cycle((0, 1, 2, 3, 4))
+    order = (0, 1, 2, 3, 4)
+    for i in range(5):
+        rotation = order[i:] + order[:i]
+        assert Cycle(rotation) == base
+        assert Cycle(tuple(reversed(rotation))) == base
+        assert hash(Cycle(rotation)) == hash(base)
+    assert Cycle((0, 2, 1, 3, 4)) != base
+    assert base != Certificate("hole", base.vertices)
+    assert Certificate("hole", base.vertices) != base
+    assert base != base.vertices
