@@ -35,9 +35,3 @@ class Budget:
         self.spent += amount
         if self.limit is not None and self.spent > self.limit:
             raise BudgetExhausted("budget of %d steps exhausted" % self.limit)
-
-    @property
-    def remaining(self):
-        if self.limit is None:
-            return None
-        return max(self.limit - self.spent, 0)

@@ -48,17 +48,29 @@ class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
         return True
 
 
+def parse_int(token):
+    """The integer an optional '-' and ASCII digits spell, else None; int()
+    would also take Unicode digits, a '+' sign and '_' separators."""
+    digits = token[1:] if token.startswith("-") else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    return None
+
+
 def parse_dimacs(text):
     """Parse DIMACS CNF text into a CnfFormula.
 
     Accepts 'c' comment lines and blank lines; requires a 'p cnf <vars>
-    <clauses>' header and zero-terminated clauses.
+    <clauses>' header and zero-terminated clauses.  A '%' line (the SATLIB
+    end marker) ends the formula.
     """
     header = None
     literals = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header is not None:
@@ -66,18 +78,17 @@ def parse_dimacs(text):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise CnfError("line %d: malformed header %r" % (lineno, raw))
-            try:
-                header = (int(fields[2]), int(fields[3]))
-            except ValueError:
-                raise CnfError("line %d: non-numeric header counts" % lineno) from None
+            header = (parse_int(fields[2]), parse_int(fields[3]))
+            if None in header:
+                raise CnfError("line %d: non-numeric header counts" % lineno)
             continue
         if header is None:
             raise CnfError("line %d: clause before header" % lineno)
         for tok in line.split():
-            try:
-                literals.append(int(tok))
-            except ValueError:
-                raise CnfError("line %d: bad literal %r" % (lineno, tok)) from None
+            lit = parse_int(tok)
+            if lit is None:
+                raise CnfError("line %d: bad literal %r" % (lineno, tok))
+            literals.append(lit)
     if header is None:
         raise CnfError("missing 'p cnf' header")
     num_vars, num_clauses = header

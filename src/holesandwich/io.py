@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .cnf import parse_int
 from .sandwich import SandwichInstance, normalized_edge
 
 
@@ -38,10 +39,10 @@ def parse_instance(text):
         if kind == "sandwich":
             if n is not None:
                 raise InstanceFormatError("line %d: duplicate header" % lineno)
-            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+            n = parse_int(parts[1]) if len(parts) == 2 else None
+            if n is None or n < 0:
                 raise InstanceFormatError(
                     "line %d: header must be 'sandwich <n>'" % lineno)
-            n = int(parts[1])
             continue
         if n is None:
             raise InstanceFormatError(
@@ -114,22 +115,21 @@ def parse_completion(text, inst=None):
         if parts[0] == "completion":
             if seen_header:
                 raise InstanceFormatError("line %d: duplicate header" % lineno)
-            if len(parts) > 2 or (len(parts) == 2 and not (
-                    parts[1].isascii() and parts[1].isdigit())):
+            count = parse_int(parts[1]) if len(parts) == 2 else 0
+            if len(parts) > 2 or count is None or count < 0:
                 raise InstanceFormatError(
                     "line %d: header must be 'completion [<count>]'" % lineno)
             if len(parts) == 2:
-                expected = int(parts[1])
+                expected = count
             seen_header = True
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise InstanceFormatError(
                 "line %d: completion lines are 'e <u> <v>'" % lineno)
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
+        u, v = parse_int(parts[1]), parse_int(parts[2])
+        if u is None or v is None:
             raise InstanceFormatError(
-                "line %d: vertex ids must be integers" % lineno) from None
+                "line %d: vertex ids must be integers" % lineno)
         if u == v:
             raise InstanceFormatError(
                 "line %d: self-loop on vertex %d" % (lineno, u))
@@ -217,11 +217,10 @@ def format_dot(inst, chosen=None, graph_name="sandwich"):
 
 
 def _vertex(token, n, lineno):
-    try:
-        v = int(token)
-    except ValueError:
+    v = parse_int(token)
+    if v is None:
         raise InstanceFormatError(
-            "line %d: vertex id %r is not an integer" % (lineno, token)) from None
+            "line %d: vertex id %r is not an integer" % (lineno, token))
     if not 0 <= v < n:
         raise InstanceFormatError(
             "line %d: vertex %d out of range 0..%d" % (lineno, v, n - 1))

@@ -28,7 +28,7 @@ from .budget import Budget, BudgetExhausted
 from .graph import Cycle
 from .recognition import DEFAULT_CHECK_BUDGET, check
 from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
-                       SolveResult, normalized_edge, solve)
+                       SolveResult, normalized_edge)
 
 IN, OUT, UND = 1, 0, 2
 
@@ -59,16 +59,15 @@ class EvenGadgetMap:
     shoulder is keyed by signed variable (+i positive, -i negative), knee by
     (signed variable, clause index).  incidences lists (variable, clause)
     pairs in construction order; clause indices are 1-based.  instance is a
-    back-reference to the built SandwichInstance.
+    back-reference to the built SandwichInstance.  build_even_instance fills
+    all four in.
     """
 
-    def __init__(self, num_vars, clauses, head=0, foot=0, w1=0, w2=0,
-                 shoulder=None, knee=None, incidences=(), instance=None):
+    def __init__(self, num_vars, clauses, head, foot, w1, w2):
         self.num_vars, self.clauses = num_vars, clauses
         self.head, self.foot, self.w1, self.w2 = head, foot, w1, w2
-        self.shoulder = {} if shoulder is None else shoulder
-        self.knee = {} if knee is None else knee
-        self.incidences, self.instance = incidences, instance
+        self.shoulder, self.knee = {}, {}
+        self.incidences, self.instance = (), None
 
     def orientation_edges(self, var, clause, positive):
         """The three optional edges of one orientation of one incidence."""
@@ -153,12 +152,7 @@ def build_even_instance(formula):
                 if e not in forced:
                     forbidden.add(e)
 
-    optional = set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            e = (u, v)
-            if e not in forced and e not in forbidden:
-                optional.add(e)
+    optional = set(itertools.combinations(range(n), 2)) - forced - forbidden
 
     inst = SandwichInstance.build(n, forced, optional, names)
     gmap.instance = inst
@@ -185,10 +179,8 @@ def chosen_edges_for_assignment(formula, assignment, gmap):
                       for i in range(1, gmap.num_vars + 1)]
     true_knees = [gmap.knee[(i if assignment[i] else -i, j)]
                   for i, j in gmap.incidences]
-    for u, v in itertools.combinations(sorted(true_shoulders), 2):
-        edges.add(normalized_edge(u, v))
-    for u, v in itertools.combinations(sorted(true_knees), 2):
-        edges.add(normalized_edge(u, v))
+    for clique in (true_shoulders, true_knees):
+        edges.update(itertools.combinations(sorted(clique), 2))
     for s in true_shoulders:
         for k in gmap.knees():
             edges.add(normalized_edge(s, k))
@@ -305,11 +297,17 @@ def propagate_orientations(inst, gmap, decided):
     vertex tuple) and the smallest is reported.  Decisions derived in rounds
     before the contradiction are reported in forced either way.
     """
-    state = {}
-    for e in inst.forced:
-        state[e] = IN
-    for e in inst.optional:
-        state[e] = UND
+    n = inst.n
+    # Pair states in a flat n*n table, both orders of each pair kept equal.
+    state = [OUT] * (n * n)
+
+    def put(u, v, val):
+        state[u * n + v] = state[v * n + u] = val
+
+    for u, v in inst.forced:
+        put(u, v, IN)
+    for u, v in inst.optional:
+        put(u, v, UND)
     for e, val in decided.items():
         e = normalized_edge(*e)
         if e in inst.forced:
@@ -320,14 +318,12 @@ def propagate_orientations(inst, gmap, decided):
             if val:
                 raise ValueError("decision includes forbidden edge %r" % (e,))
             continue
-        state[e] = IN if val else OUT
+        put(*e, IN if val else OUT)
 
-    def lookup(u, v):
-        return state.get(normalized_edge(u, v), OUT)
-
-    core = [v for v in range(inst.n) if v not in (gmap.w1, gmap.w2)]
+    core = [v for v in range(n) if v not in (gmap.w1, gmap.w2)]
     knees = gmap.knees()
     shoulders = gmap.shoulders()
+    head, foot = gmap.head, gmap.foot
     forced_log = {}
 
     while True:
@@ -336,9 +332,9 @@ def propagate_orientations(inst, gmap, decided):
         pending = []
 
         def force(u, v, val):
-            e = normalized_edge(u, v)
-            if state[e] != UND:
+            if state[u * n + v] != UND:
                 return
+            e = normalized_edge(u, v)
             if e in batch and batch[e] != val:
                 # Conflicting derivations: keep the in-decision; the
                 # out-derivation's structure then completes to a four-cycle
@@ -365,30 +361,31 @@ def propagate_orientations(inst, gmap, decided):
         # force only writes batch, so the six states read here are the
         # round's states for all three pairings.
         for a, b, c, d in itertools.combinations(core, 4):
-            ab, ac, ad = lookup(a, b), lookup(a, c), lookup(a, d)
-            bc, bd, cd = lookup(b, c), lookup(b, d), lookup(c, d)
+            row_a, row_b = a * n, b * n
+            ab, ac, ad = state[row_a + b], state[row_a + c], state[row_a + d]
+            bc, bd, cd = state[row_b + c], state[row_b + d], state[c * n + d]
             four_cycle(a, b, c, d, ab, bc, cd, ad, ac, bd)
             four_cycle(a, b, d, c, ab, bd, cd, ac, ad, bc)
             four_cycle(a, c, b, d, ac, bc, bd, ad, ab, cd)
 
         for k in knees:
             for s in shoulders:
-                if lookup(k, s) != IN:
+                if state[k * n + s] != IN:
                     continue
-                hk = lookup(gmap.head, k)
-                fs = lookup(gmap.foot, s)
+                hk = state[head * n + k]
+                fs = state[foot * n + s]
                 if hk == IN or fs == IN:
                     continue
                 if hk == OUT and fs == OUT:
                     contradictions.append(Cycle(
-                        (gmap.head, gmap.w1, gmap.w2, gmap.foot, k, s)))
+                        (head, gmap.w1, gmap.w2, foot, k, s)))
                 elif hk == OUT:
-                    force(gmap.foot, s, True)
+                    force(foot, s, True)
                 elif fs == OUT:
-                    force(gmap.head, k, True)
+                    force(head, k, True)
                 else:
-                    pending.append((normalized_edge(gmap.head, k),
-                                    normalized_edge(gmap.foot, s)))
+                    pending.append((normalized_edge(head, k),
+                                    normalized_edge(foot, s)))
 
         if contradictions:
             cert = min(contradictions,
@@ -399,32 +396,31 @@ def propagate_orientations(inst, gmap, decided):
             return PropagationResult("ok", forced_log,
                                      tuple(sorted(set(pending))))
         for e, val in batch.items():
-            state[e] = IN if val else OUT
+            put(*e, IN if val else OUT)
             forced_log[e] = val
 
 
 def solve_with_orientations(formula, inst, gmap,
                             budget=DEFAULT_SOLVE_BUDGET,
                             check_budget=DEFAULT_CHECK_BUDGET):
-    """Sandwich search for even-hole-free seeded by orientation branching.
+    """Exact even-hole-free sandwich search by orientation branching.
 
-    Depth-first over variables, positive orientation first.  Each call is
-    one search node: with a variable left it propagates its decisions and
-    branches on that variable's orientation bundle; a leaf realizes the
-    canonical completion for its assignment and re-checks it.  A satisfying
-    assignment whose completion fails the check means the construction is
-    broken, and raises AssertionError.  A contradiction at the root is an
-    exact UNSAT.  If every branch is pruned, the generic solver decides
-    `inst` itself, so UNSAT stays exact.  `budget` caps nodes of both
-    searches together and `check_budget` each recognition search; None
-    means unlimited.
+    Depth-first over variables; each call is one node.  A node propagates
+    its decisions and splits on the optional edge foot-S_x of the next
+    variable x, in (x true) before out; a leaf checks the canonical
+    completion of its assignment.  A failing leaf must propagate to a
+    contradiction, and raises AssertionError when it does not or when its
+    assignment satisfies the formula.  The split is exhaustive, so no SAT
+    leaf means an exact UNSAT (docs/solver.md).  `budget` caps nodes and
+    `check_budget` each recognition search; None means unlimited.
     """
     tracker = Budget(budget)
 
     def descend(decided, assignment):
         tracker.spend()
         var = len(assignment) + 1
-        if var > formula.num_vars:
+        leaf = var > formula.num_vars
+        if leaf:
             g = completion_from_assignment(formula, assignment, gmap)
             if check(g, "even-hole-free", budget=check_budget)[0]:
                 chosen = frozenset(e for e in inst.optional
@@ -434,20 +430,19 @@ def solve_with_orientations(formula, inst, gmap,
                 raise AssertionError(
                     "canonical completion of satisfying assignment %r of %r "
                     "is not even-hole-free" % (assignment, formula))
-            return None
         result = propagate_orientations(inst, gmap, decided)
         if result.status == "contradiction":
-            # Propagation is sound, so a root contradiction (no decisions)
-            # rules out every even-hole-free sandwich graph.
-            return None if assignment else SolveResult("UNSAT", None,
-                                                       tracker.spent)
+            return None
+        if leaf:
+            raise AssertionError(
+                "propagation does not refute falsifying assignment %r of %r"
+                % (assignment, formula))
         merged = {**decided, **result.forced}
+        e = normalized_edge(gmap.foot, gmap.shoulder[var])
         for positive in (True, False):
-            bundle = [e for j in gmap.variable_incidences(var)
-                      for e in gmap.orientation_edges(var, j, positive)]
-            if any(merged.get(e) is False for e in bundle):
+            if merged.get(e, positive) != positive:  # decided the other way
                 continue
-            found = descend({**merged, **dict.fromkeys(bundle, True)},
+            found = descend({**merged, e: positive},
                             {**assignment, var: positive})
             if found is not None:
                 return found
@@ -457,10 +452,6 @@ def solve_with_orientations(formula, inst, gmap,
         found = descend({}, {})
     except BudgetExhausted:
         return SolveResult("BUDGET", None, tracker.spent, frontier=1)
-    if found is not None:
-        return found
-    if tracker.remaining == 0:
-        return SolveResult("BUDGET", None, tracker.spent, frontier=1)
-    fallback = solve(inst, "even-hole-free", budget=tracker.remaining,
-                     check_budget=check_budget)
-    return fallback._replace(nodes=tracker.spent + fallback.nodes)
+    if found is None:
+        return SolveResult("UNSAT", None, tracker.spent)
+    return found

@@ -201,9 +201,24 @@ def test_usage_errors_exit_two(workdir, capsys):
     (workdir / "sup.inst").write_text("sandwich \u00b2\n", encoding="utf-8")
     (workdir / "sup.comp").write_text("completion \u00b2\n", encoding="utf-8")
     (workdir / "latin1.inst").write_bytes(b"# caf\xe9\nsandwich 3\n")
+    # Arabic-Indic digits and a '+' sign pass int() but are not ASCII
+    # integers, in instance, completion and DIMACS text alike.
+    (workdir / "arabic.inst").write_text("sandwich 3\nf \u0661 \u0662\n",
+                                         encoding="utf-8")
+    (workdir / "arabic.comp").write_text("completion\ne \u0660 \u0661\n",
+                                         encoding="utf-8")
+    (workdir / "plus.comp").write_text("completion\ne +0 1\n")
     for argv in ((workdir / "sup.inst",), (workdir / "latin1.inst",),
-                 (workdir / "ok.inst", "--completion", workdir / "sup.comp")):
+                 (workdir / "arabic.inst",),
+                 (workdir / "ok.inst", "--completion", workdir / "sup.comp"),
+                 (workdir / "ok.inst", "--completion", workdir / "arabic.comp"),
+                 (workdir / "ok.inst", "--completion", workdir / "plus.comp")):
         assert run("check", *argv, "--property", "chordal") == 2
+        assert "error:" in capsys.readouterr().err
+    for text in ("p cnf \u0663 1\n1 2 3 0\n", "p cnf 3 1\n+1 2 3 0\n"):
+        (workdir / "bad.cnf").write_text(text, encoding="utf-8")
+        assert run("reduce-even", workdir / "bad.cnf",
+                   "--out", workdir / "bad-out.inst") == 2
         assert "error:" in capsys.readouterr().err
     for text in ("5\n", "null\n"):
         (workdir / "bad.roles.json").write_text(text)

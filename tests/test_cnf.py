@@ -54,6 +54,11 @@ def test_parse_dimacs_round_trip():
     assert parse_dimacs(format_dimacs(f)) == f
 
 
+def test_parse_dimacs_stops_at_satlib_end_marker():
+    f = parse_dimacs("p cnf 3 1\n1 2 3 0\n%\n0\n")
+    assert f.clauses == ((1, 2, 3),)
+
+
 def test_parse_dimacs_multiline_and_split_clauses():
     f = parse_dimacs("p cnf 3 2\n1 2\n3 0 -1\n-2 -3 0\n")
     assert f.clauses == ((1, 2, 3), (-1, -2, -3))
@@ -70,6 +75,10 @@ def test_parse_dimacs_multiline_and_split_clauses():
     ("", "missing 'p cnf' header"),
     ("p cnf 3 1\n1 2 0\n", "has 2 literals"),
     ("p cnf 2 1\n1 2 3 0\n", "out of range"),
+    ("p cnf \u0663 1\n1 2 3 0\n", "non-numeric"),
+    ("p cnf 3 1\n+1 2 3 0\n", "bad literal"),
+    ("p cnf 3 1\n1 2 \u0663 0\n", "bad literal"),
+    ("p cnf 3 1\n1_0 2 3 0\n", "bad literal"),
 ])
 def test_parse_dimacs_rejects(text, message):
     with pytest.raises(CnfError, match=message):

@@ -54,6 +54,9 @@ def test_comments_blank_lines_and_reversed_pairs():
     ("sandwich 3\nv 0 a\n", "cover all"),
     ("sandwich 3\nv 0 a\nv 0 b\nv 1 c\n", "duplicate name"),
     ("sandwich 2\nv 0 a b\nv 1 c\n", "vertex line must be"),
+    ("sandwich 3\nf \u0661 \u0662\n", "not an integer"),
+    ("sandwich 3\nf +1 2\n", "not an integer"),
+    ("sandwich +3\n", "header must be"),
 ])
 def test_parse_instance_rejects(text, message):
     with pytest.raises(InstanceFormatError, match=message):
@@ -88,6 +91,9 @@ def test_completion_round_trip():
     ("completion 1\ne 0 0\n", "self-loop"),
     ("completion 1\ne 0 1\n", "not optional"),
     ("completion 1\ne 9 1\n", "out of range"),
+    ("completion 1\ne \u0660 \u0662\n", "must be integers"),
+    ("completion 1\ne +0 2\n", "must be integers"),
+    ("completion -1\n", "header must be"),
 ])
 def test_parse_completion_rejects(text, message):
     inst = parse_instance(SAMPLE)

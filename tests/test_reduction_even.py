@@ -286,20 +286,17 @@ def test_broken_construction_raises_at_a_satisfying_leaf(monkeypatch):
         solve_with_orientations(XYZ, inst, gmap)
 
 
-def test_fallback_decides_when_every_leaf_fails(monkeypatch):
-    # Every leaf fails its check and no assignment counts as satisfying, so
-    # every branch is pruned and the generic solver decides the instance.
+def test_unrefuted_failing_leaf_raises(monkeypatch):
+    # Every leaf fails its check and no assignment counts as satisfying, but
+    # the all-positive leaf propagates without contradiction: the split is
+    # exhaustive, so such a leaf means the construction is broken.
     inst, gmap = build()
     monkeypatch.setattr(reduction_even, "completion_from_assignment",
                         lambda formula, assignment, gmap: gmap.instance.g1())
     monkeypatch.setattr(CnfFormula, "satisfied_by",
                         lambda self, assignment: False)
-    result = solve_with_orientations(XYZ, inst, gmap, budget=None)
-    assert result.verdict == "SAT"
-    g = inst.realize(result.completion.chosen)
-    assert is_sandwich_graph(inst, g)
-    assert check(g, "even-hole-free")[0]
-    assert result.nodes == 323
+    with pytest.raises(AssertionError, match="does not refute"):
+        solve_with_orientations(XYZ, inst, gmap, budget=None)
 
 
 def test_orientation_solver_reports_budget_exhaustion():
@@ -326,7 +323,7 @@ def test_forced_falsifying_orientations_are_unsat(monkeypatch):
     assert root.status == "contradiction"
     assert sorted(root.certificate.vertices) == [10, 11, 12, 13]
 
-    # Every branch is pruned; the fallback reuses the root propagation.
+    # The root contradiction refutes the whole descent: one propagation.
     calls = []
 
     def counting(inst, gmap, decided):
@@ -341,6 +338,59 @@ def test_forced_falsifying_orientations_are_unsat(monkeypatch):
 
     generic = solve(committed, "even-hole-free")
     assert generic.verdict == "UNSAT"
+
+
+def commit_bundles(inst, gmap, commit):
+    """The instance with each committed variable's orientation bundles forced."""
+    bundles = {e for var, positive in commit.items()
+               for j in gmap.variable_incidences(var)
+               for e in gmap.orientation_edges(var, j, positive)}
+    return SandwichInstance.build(inst.n, inst.forced | bundles,
+                                  inst.optional - bundles, inst.names)
+
+
+def test_descent_refutes_below_the_root(monkeypatch):
+    # x1 committed false leaves (2 or 3) and its three sign variants, which
+    # no assignment of x2, x3 satisfies; every leaf is refuted by propagation.
+    formula = CnfFormula(3, ((1, 2, 3), (1, -2, 3), (1, 2, -3), (1, -2, -3)))
+    inst, gmap = build_even_instance(formula)
+    committed = commit_bundles(inst, gmap, {1: False})
+    assert committed.n == 34
+    calls = []
+
+    def counting(inst, gmap, decided):
+        calls.append(dict(decided))
+        return propagate_orientations(inst, gmap, decided)
+
+    monkeypatch.setattr(reduction_even, "propagate_orientations", counting)
+    result = solve_with_orientations(formula, committed, gmap, budget=None)
+    assert (result.verdict, result.nodes, len(calls)) == ("UNSAT", 4, 4)
+
+
+def test_orientation_verdicts_match_brute_force():
+    rng = random.Random(3)
+    verdicts = []
+    for _ in range(24):
+        num_vars = rng.randint(3, 5)
+        formula = random_formula(rng, num_vars, rng.randint(1, 2))
+        used = sorted({abs(lit) for c in formula.clauses for lit in c})
+        commit = {v: rng.random() < 0.5 for v in used if rng.random() < 0.75}
+        inst, gmap = build_even_instance(formula)
+        committed = commit_bundles(inst, gmap, commit)
+        satisfiable = any(
+            formula.satisfied_by(a) and all(a[v] == p for v, p in commit.items())
+            for a in all_assignments(num_vars))
+        result = solve_with_orientations(formula, committed, gmap, budget=None)
+        assert result.verdict == ("SAT" if satisfiable else "UNSAT"), \
+            (formula, commit)
+        if satisfiable:
+            g = committed.realize(result.completion.chosen)
+            assert check(g, "even-hole-free")[0]
+            assignment = extract_assignment(gmap, g)
+            assert formula.satisfied_by(assignment)
+            assert all(assignment[v] == p for v, p in commit.items())
+        verdicts.append(result.verdict)
+    assert verdicts.count("UNSAT") >= 2 and verdicts.count("SAT") >= 2
 
 
 def test_generic_style_solve_example():
