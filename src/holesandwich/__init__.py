@@ -9,72 +9,38 @@ C5-freeness, odd/even-hole-freeness, odd-antihole-freeness, and Bergeness.
 It also ships the two 3-SAT reductions that make the odd and even cases hard,
 together with the machinery to check their structural invariants and to pull
 satisfying assignments back out of solved instances.
+
+The public names load on first use (PEP 562): `import holesandwich` imports
+no submodule, and `holesandwich.solve` imports `holesandwich.sandwich`.
 """
 
-from .budget import Budget, BudgetExhausted
-from .cnf import CnfFormula, all_assignments, format_dimacs, parse_dimacs
-from .graph import (Cycle, Graph, chordless_cycles, complement,
-                    contains_subgraph, find_induced_path, find_subgraph,
-                    induced, triangles)
-from .io import (InstanceFormatError, format_completion, format_dot,
-                 format_instance, parse_completion, parse_instance)
-from .recognition import PROPERTY_IDS, Certificate, check, is_chordal
-from .reduction_even import (EvenGadgetMap, build_even_instance,
-                             propagate_orientations, solve_with_orientations)
-from .reduction_odd import (GadgetError, OddGadgetMap, build_c5_instance,
-                            build_odd_hole_free_instance, five_cycle_census,
-                            structural_report)
-from .sandwich import (SOLVABLE_PROPERTY_IDS, Completion, SandwichInstance,
-                       SolveResult, brute_force_solve, complement_instance,
-                       is_sandwich_graph, solve, validate)
-from .verify import SUITES, CriterionResult, run_suite
+import importlib
 
-__all__ = [
-    "Budget",
-    "BudgetExhausted",
-    "Certificate",
-    "CnfFormula",
-    "Completion",
-    "CriterionResult",
-    "Cycle",
-    "EvenGadgetMap",
-    "GadgetError",
-    "Graph",
-    "InstanceFormatError",
-    "OddGadgetMap",
-    "PROPERTY_IDS",
-    "SOLVABLE_PROPERTY_IDS",
-    "SUITES",
-    "SandwichInstance",
-    "SolveResult",
-    "all_assignments",
-    "brute_force_solve",
-    "build_c5_instance",
-    "build_even_instance",
-    "build_odd_hole_free_instance",
-    "check",
-    "chordless_cycles",
-    "complement",
-    "complement_instance",
-    "contains_subgraph",
-    "find_induced_path",
-    "find_subgraph",
-    "five_cycle_census",
-    "format_completion",
-    "format_dimacs",
-    "format_dot",
-    "format_instance",
-    "induced",
-    "is_chordal",
-    "is_sandwich_graph",
-    "parse_completion",
-    "parse_dimacs",
-    "parse_instance",
-    "propagate_orientations",
-    "run_suite",
-    "solve",
-    "solve_with_orientations",
-    "structural_report",
-    "triangles",
-    "validate",
-]
+_HOME = {name: module for module, names in (
+    ("budget", "Budget BudgetExhausted"),
+    ("cnf", "CnfFormula all_assignments format_dimacs parse_dimacs"),
+    ("graph", "Cycle Graph chordless_cycles complement contains_subgraph "
+              "find_induced_path find_subgraph induced triangles"),
+    ("io", "InstanceFormatError format_completion format_dot "
+           "format_instance parse_completion parse_instance"),
+    ("recognition", "PROPERTY_IDS Certificate check is_chordal"),
+    ("reduction_even", "EvenGadgetMap build_even_instance "
+                       "propagate_orientations solve_with_orientations"),
+    ("reduction_odd", "GadgetError OddGadgetMap build_c5_instance "
+                      "build_odd_hole_free_instance five_cycle_census "
+                      "structural_report"),
+    ("sandwich", "SOLVABLE_PROPERTY_IDS Completion SandwichInstance "
+                 "SolveResult brute_force_solve complement_instance "
+                 "is_sandwich_graph solve validate"),
+    ("verify", "SUITES CriterionResult run_suite"),
+) for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    # Not cached in this module's namespace, so the value is always the
+    # home module's current binding.
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + _HOME[name], __name__), name)

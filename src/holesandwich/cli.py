@@ -10,7 +10,6 @@ fails / extraction falsifies, 2 = usage or parse error, 3 = budget exhausted.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .budget import BudgetExhausted
@@ -27,7 +26,6 @@ from .reduction_odd import (GadgetError, build_c5_instance,
                             extract_assignment as extract_odd)
 from .sandwich import (DEFAULT_SOLVE_BUDGET, SOLVABLE_PROPERTY_IDS,
                        complement_instance, solve)
-from .verify import DEFAULT_SEED, SUITES, run_suite
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -44,6 +42,7 @@ class CliError(Exception):
 
 
 def _budget(text):
+    import argparse
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("budget must be non-negative")
@@ -191,8 +190,13 @@ def _cmd_extract(args):
 
 
 def _cmd_verify(args):
-    print("seed %d" % args.seed)
-    results = run_suite(args.suite, seed=args.seed)
+    from .verify import DEFAULT_SEED, run_suite
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    try:
+        results = run_suite(args.suite, seed=seed)
+    except ValueError as exc:  # an unknown suite name
+        raise CliError(exc)
+    print("seed %d" % seed)
     all_passed = True
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
@@ -213,6 +217,7 @@ def _cmd_export_dot(args):
 # -- parser -------------------------------------------------------------------
 
 def _parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="holesandwich",
         description="Build, solve, and verify graph sandwich instances for "
@@ -279,10 +284,11 @@ def _parser():
 
     p = sub.add_parser("verify", help="run acceptance suites")
     p.add_argument("--suite", default="all",
-                   choices=tuple(SUITES) + ("all",))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="RNG seed for randomized suites (default %d)"
-                        % DEFAULT_SEED)
+                   help="one suite, or all (default); an unknown name "
+                        "lists the suites")
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed for randomized suites (default "
+                        "verify.DEFAULT_SEED, printed first)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export-dot",

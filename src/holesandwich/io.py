@@ -9,8 +9,6 @@ files directly.
 
 from __future__ import annotations
 
-import json
-
 from .cnf import parse_int
 from .sandwich import SandwichInstance, normalized_edge
 
@@ -101,8 +99,9 @@ def format_instance(inst):
 def parse_completion(text, inst=None):
     """Parse `completion [<count>]` + `e <u> <v>` lines into a frozenset.
 
-    With an instance, edges must be among its optional set; a count in the
-    header, when present, must match the number of edges.
+    Vertex ids are non-negative.  With an instance, edges must be among its
+    optional set; a count in the header, when present, must match the
+    number of edges.
     """
     chosen = []
     expected = None
@@ -130,6 +129,9 @@ def parse_completion(text, inst=None):
         if u is None or v is None:
             raise InstanceFormatError(
                 "line %d: vertex ids must be integers" % lineno)
+        if u < 0 or v < 0:
+            raise InstanceFormatError(
+                "line %d: vertex ids must be non-negative" % lineno)
         if u == v:
             raise InstanceFormatError(
                 "line %d: self-loop on vertex %d" % (lineno, u))
@@ -143,7 +145,7 @@ def parse_completion(text, inst=None):
         raise InstanceFormatError(
             "header promises %d edges, found %d" % (expected, len(result)))
     if inst is not None:
-        bad = sorted(e for e in result if e[0] < 0 or e[1] >= inst.n)
+        bad = sorted(e for e in result if e[1] >= inst.n)
         if bad:
             raise InstanceFormatError("edge vertices out of range: %s" % bad)
         stray = result - inst.optional
@@ -177,11 +179,13 @@ def roles_payload(kind, formula, inst):
 
 
 def dump_roles(kind, formula, inst):
+    import json
     return json.dumps(roles_payload(kind, formula, inst),
                       indent=2, sort_keys=True) + "\n"
 
 
 def load_roles(text):
+    import json
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

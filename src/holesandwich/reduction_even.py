@@ -415,8 +415,10 @@ def solve_with_orientations(formula, inst, gmap,
     `check_budget` each recognition search; None means unlimited.
     """
     tracker = Budget(budget)
+    frontier = 0
 
     def descend(decided, assignment):
+        nonlocal frontier
         tracker.spend()
         var = len(assignment) + 1
         leaf = var > formula.num_vars
@@ -439,19 +441,24 @@ def solve_with_orientations(formula, inst, gmap,
                 % (assignment, formula))
         merged = {**decided, **result.forced}
         e = normalized_edge(gmap.foot, gmap.shoulder[var])
-        for positive in (True, False):
-            if merged.get(e, positive) != positive:  # decided the other way
-                continue
+        # The sides propagation has not decided the other way.  The untried
+        # ones stay counted in the frontier while the first runs; a BUDGET
+        # stop inside it leaves them counted.
+        sides = [p for p in (True, False) if merged.get(e, p) == p]
+        while sides:
+            positive = sides.pop(0)
+            frontier += len(sides)
             found = descend({**merged, e: positive},
                             {**assignment, var: positive})
             if found is not None:
                 return found
+            frontier -= len(sides)
         return None
 
     try:
         found = descend({}, {})
     except BudgetExhausted:
-        return SolveResult("BUDGET", None, tracker.spent, frontier=1)
+        return SolveResult("BUDGET", None, tracker.spent, frontier)
     if found is None:
         return SolveResult("UNSAT", None, tracker.spent)
     return found

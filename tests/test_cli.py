@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -241,6 +242,11 @@ def test_usage_errors_exit_two(workdir, capsys):
     with pytest.raises(SystemExit):
         run("frobnicate")
     capsys.readouterr()
+    assert run("verify", "--suite", "bogus") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown suite 'bogus'")
+    assert "even-instance-census" in captured.err
 
 
 def test_malformed_cnf_exits_two(workdir, capsys):
@@ -276,6 +282,8 @@ def test_verify_reports_seed_and_passes(workdir, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "seed 5"
     assert "[PASS] 8 even-instance-census" in out
+    assert run("verify", "--suite", "even-instance-census") == 0
+    assert capsys.readouterr().out.splitlines()[0] == "seed 20240901"
 
 
 # -- console script wiring -------------------------------------------------------
@@ -289,13 +297,45 @@ def test_module_entry_point(workdir):
     assert done.stdout.startswith("sandwich 16")
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # Every CLI command runs in a fresh process; importing these two modules
-    # would add about 18 ms and 1 MiB to each one's start-up.
+def fresh_imports(module):
+    """The modules that importing `module` adds in a fresh interpreter;
+    those its start-up (`site`) already loaded do not count."""
     src = os.path.dirname(os.path.dirname(holesandwich.__file__))
-    code = ("import sys; sys.path.insert(0, %r); import holesandwich.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-            % src)
+    code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+            "import %s; print(*sorted(set(sys.modules) - before))"
+            % (src, module))
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return set(done.stdout.split())
+
+
+def test_cli_import_footprint():
+    # Every CLI command runs in a fresh process.  dataclasses with inspect
+    # would add about 18 ms and 1 MiB to each one's start-up; verify, json
+    # and argparse are imported by the code paths that need them.
+    loaded = fresh_imports("holesandwich.cli")
+    assert not loaded & {"dataclasses", "inspect", "json", "argparse",
+                         "holesandwich.verify"}
+    # bench/spans.py finds the modules it traces in sys.modules.
+    assert {"holesandwich." + name for name in (
+        "graph", "recognition", "sandwich", "reduction_even",
+        "reduction_odd", "cnf", "io")} <= loaded
+
+
+def test_package_facade():
+    assert not {m for m in fresh_imports("holesandwich")
+                if m.startswith("holesandwich.")}
+    for name in holesandwich.__all__:
+        value = getattr(holesandwich, name)
+        home = import_module("holesandwich." + holesandwich._HOME[name])
+        assert value is vars(home)[name]
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+    # Names are looked up on each access, never bound in the package.
+    assert not set(holesandwich.__all__) & set(vars(holesandwich))
+    namespace = {}
+    exec("from holesandwich import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace == {name: getattr(holesandwich, name)
+                         for name in holesandwich.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        holesandwich.no_such_name

@@ -94,11 +94,15 @@ def test_completion_round_trip():
     ("completion 1\ne \u0660 \u0662\n", "must be integers"),
     ("completion 1\ne +0 2\n", "must be integers"),
     ("completion -1\n", "header must be"),
+    ("completion\ne -1 2\n", "non-negative"),
 ])
 def test_parse_completion_rejects(text, message):
     inst = parse_instance(SAMPLE)
     with pytest.raises(InstanceFormatError, match=message):
         parse_completion(text, inst)
+    if message not in ("not optional", "out of range"):  # need the instance
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_completion(text)
 
 
 def test_roles_round_trip():

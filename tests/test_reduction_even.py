@@ -367,6 +367,21 @@ def test_descent_refutes_below_the_root(monkeypatch):
     assert (result.verdict, result.nodes, len(calls)) == ("UNSAT", 4, 4)
 
 
+def test_budget_frontier_counts_open_out_branches():
+    # Budget b stops the descent at its (b+1)-th call, below b splits that
+    # each took their in-branch.  Plain, every one of their out-branches is
+    # still open.  With x3 committed false, x3's split has only its out-branch,
+    # and then (x4 | !x1 | x3) makes propagation exclude x4's out-branch.
+    inst, gmap = build(TWO_CLAUSES)
+    committed = commit_bundles(inst, gmap, {3: False})
+    for target, expected in ((inst, [0, 1, 2, 3, 4]),
+                             (committed, [0, 1, 2, 2, 2])):
+        results = [solve_with_orientations(TWO_CLAUSES, target, gmap, budget=b)
+                   for b in range(5)]
+        assert {r.verdict for r in results} == {"BUDGET"}
+        assert [r.frontier for r in results] == expected
+
+
 def test_orientation_verdicts_match_brute_force():
     rng = random.Random(3)
     verdicts = []
