@@ -19,20 +19,20 @@ import importlib
 _HOME = {name: module for module, names in (
     ("budget", "Budget BudgetExhausted"),
     ("cnf", "CnfFormula all_assignments format_dimacs parse_dimacs"),
-    ("graph", "Cycle Graph chordless_cycles complement contains_subgraph "
-              "find_induced_path find_subgraph induced triangles"),
+    ("graph", "Cycle Graph complement induced"),
     ("io", "InstanceFormatError format_completion format_dot "
            "format_instance parse_completion parse_instance"),
     ("recognition", "PROPERTY_IDS Certificate check is_chordal"),
     ("reduction_even", "EvenGadgetMap build_even_instance "
                        "propagate_orientations solve_with_orientations"),
     ("reduction_odd", "GadgetError OddGadgetMap build_c5_instance "
-                      "build_odd_hole_free_instance five_cycle_census "
-                      "structural_report"),
+                      "build_odd_hole_free_instance"),
     ("sandwich", "SOLVABLE_PROPERTY_IDS Completion SandwichInstance "
-                 "SolveResult brute_force_solve complement_instance "
-                 "is_sandwich_graph solve validate"),
-    ("verify", "SUITES CriterionResult run_suite"),
+                 "SolveResult complement_instance solve validate"),
+    ("verify", "SUITES CriterionResult brute_force_solve chordless_cycles "
+               "contains_subgraph find_induced_path find_subgraph "
+               "five_cycle_census is_sandwich_graph run_suite "
+               "structural_report triangles"),
 ) for name in names.split()}
 
 __all__ = sorted(_HOME)

@@ -5,8 +5,6 @@ counts its steps against a budget so callers get an honest "ran out" signal
 instead of an open-ended hang.
 """
 
-from __future__ import annotations
-
 
 class BudgetExhausted(Exception):
     """Raised when a search exceeds its step budget.

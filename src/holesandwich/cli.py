@@ -8,8 +8,6 @@ Exit codes: 0 = SAT / property holds / suites pass, 1 = UNSAT / property
 fails / extraction falsifies, 2 = usage or parse error, 3 = budget exhausted.
 """
 
-from __future__ import annotations
-
 import sys
 
 from .budget import BudgetExhausted

@@ -5,8 +5,6 @@ clause repeats a variable or contains a complementary pair); the reductions
 built on top rely on both restrictions.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import product
 
@@ -15,12 +13,19 @@ class CnfError(Exception):
     """Malformed formula text or clause structure."""
 
 
+def _is_int(value):
+    """bool is an int subclass, but True is no variable count or literal."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
     """A 3-CNF formula; variables are 1..num_vars, literals signed ints."""
 
     __slots__ = ()
 
     def __new__(cls, num_vars, clauses):
+        if not _is_int(num_vars):
+            raise CnfError("variable count %r is not an integer" % (num_vars,))
         if num_vars < 0:
             raise CnfError("negative variable count")
         clauses = tuple(tuple(c) for c in clauses)
@@ -29,6 +34,9 @@ class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
                 raise CnfError("clause %d has %d literals, want exactly 3"
                                % (idx, len(clause)))
             for lit in clause:
+                if not _is_int(lit):
+                    raise CnfError("clause %d: literal %r is not an integer"
+                                   % (idx, lit))
                 if lit == 0 or abs(lit) > num_vars:
                     raise CnfError("clause %d: literal %d out of range"
                                    % (idx, lit))

@@ -10,13 +10,9 @@ Graph values are immutable after construction (adjacency is a tuple of ints);
 they can be shared freely across threads.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 
-from .budget import Budget, BudgetExhausted
-
-MAX_PATTERN_VERTICES = 8
+from .budget import Budget
 
 
 def _bits(mask):
@@ -254,135 +250,6 @@ def is_bipartite(g):
     return True
 
 
-def chordless_cycles(g, min_len=4, budget=None):
-    """All chordless cycles of length >= min_len, canonical and deduplicated.
-
-    `budget` is a step count (int) or None for unlimited.  On exhaustion a
-    BudgetExhausted carrying the cycles found so far is raised.
-    """
-    tracker = Budget(budget)
-    found = []
-    try:
-        for cyc in iter_chordless_cycles(g, min_len, tracker):
-            found.append(cyc)
-    except BudgetExhausted as exc:
-        raise BudgetExhausted(str(exc), partial=found) from None
-    return sorted(found, key=lambda c: (c.length, c.vertices))
-
-
-def triangles(g):
-    """All 3-cliques as sorted (u, v, w) tuples, lexicographic order."""
-    out = []
-    adj = g.adj
-    for u in range(g.n):
-        above_u = adj[u] >> (u + 1) << (u + 1)
-        for v in _bits(above_u):
-            common = adj[u] & adj[v]
-            for w in _bits(common >> (v + 1) << (v + 1)):
-                out.append((u, v, w))
-    return out
-
-
-def find_subgraph(g, pattern):
-    """An injective map sending pattern edges onto g edges, or None.
-
-    Subgraph containment is *not* induced: pattern non-edges may map onto
-    edges of g.  Returns a tuple `m` with m[i] = image of pattern vertex i.
-    Patterns are capped at MAX_PATTERN_VERTICES vertices.
-    """
-    k = pattern.n
-    if k > MAX_PATTERN_VERTICES:
-        raise ValueError("pattern has %d vertices; at most %d supported"
-                         % (k, MAX_PATTERN_VERTICES))
-    if k == 0:
-        return ()
-    if k > g.n:
-        return None
-
-    # Order pattern vertices so each one (after the first) touches a placed
-    # vertex when possible; candidates then shrink to neighbourhood
-    # intersections.
-    order = []
-    placed = set()
-    degs = [pattern.degree(v) for v in range(k)]
-    while len(order) < k:
-        best = None
-        for v in range(k):
-            if v in placed:
-                continue
-            back = sum(1 for u in pattern.neighbors(v) if u in placed)
-            key = (back, degs[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed.add(best[1])
-
-    g_degs = [g.degree(v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    image = {}
-
-    def place(idx, used_mask):
-        if idx == k:
-            return True
-        pv = order[idx]
-        cand = full & ~used_mask
-        for pu in pattern.neighbors(pv):
-            if pu in image:
-                cand &= g.adj[image[pu]]
-        for gv in _bits(cand):
-            if g_degs[gv] < degs[pv]:
-                continue
-            image[pv] = gv
-            if place(idx + 1, used_mask | (1 << gv)):
-                return True
-            del image[pv]
-        return False
-
-    if place(0, 0):
-        return tuple(image[v] for v in range(k))
-    return None
-
-
-def contains_subgraph(g, pattern):
-    """True when g contains pattern as a (not necessarily induced) subgraph."""
-    return find_subgraph(g, pattern) is not None
-
-
-def find_induced_path(g, k):
-    """Vertices of an induced path on k vertices, or None.
-
-    Depth-first over paths whose extensions must avoid every earlier path
-    vertex's neighbourhood, so candidate sets are neighbourhood
-    intersections and stay small even in dense graphs.
-    """
-    if k <= 0:
-        return None
-    if k == 1:
-        return (0,) if g.n else None
-    adj = g.adj
-
-    def extend(path, tail_mask, forbid):
-        if len(path) == k:
-            return path
-        tail = path[-1]
-        cand = adj[tail] & ~forbid & ~tail_mask
-        for v in _bits(cand):
-            found = extend(path + (v,), tail_mask | (1 << v),
-                           forbid | adj[tail])
-            if found:
-                return found
-        return None
-
-    # Both traversal directions of a path start at an endpoint, so every
-    # ordered first edge must be tried; no orientation symmetry to break.
-    for a in range(g.n):
-        for b in _bits(adj[a]):
-            found = extend((a, b), (1 << a) | (1 << b), adj[a])
-            if found:
-                return found
-    return None
-
-
 # -- small named graphs ----------------------------------------------------
 
 def path_graph(k):
@@ -397,13 +264,3 @@ def cycle_graph(k):
 
 def complete_graph(k):
     return Graph(k, list(combinations(range(k), 2)))
-
-
-def gem_graph():
-    """A four-vertex path plus one vertex adjacent to all of it.
-
-    Equivalently the complement of (P4 + isolated vertex).  This is the
-    five-vertex pattern whose absence as a subgraph certifies that no
-    complement-of-long-path (and hence no long antihole) can occur.
-    """
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])

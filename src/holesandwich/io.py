@@ -7,8 +7,6 @@ lexicographic), which makes round-trips bit-exact and lets tests compare
 files directly.
 """
 
-from __future__ import annotations
-
 from .cnf import parse_int
 from .sandwich import SandwichInstance, normalized_edge
 

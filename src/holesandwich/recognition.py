@@ -16,8 +16,6 @@ exponential ones honour a step budget and raise BudgetExhausted rather than
 guess.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import combinations
 

@@ -19,8 +19,6 @@ graph by cliquing the true shoulders and true knees and joining every true
 shoulder to every knee.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

@@ -35,11 +35,7 @@ graph share a single forced edge):
   clause cycle survives as an induced C5.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-
-from .graph import Cycle, _bits, find_subgraph, gem_graph, triangles
+from .graph import Cycle
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
 
 REPEATER_SIDES = ("var", "clause")
@@ -200,7 +196,8 @@ def build_odd_hole_free_instance(formula):
     """Odd-hole-free variant: the complement transform of the C5 instance.
 
     The allowed graph of the C5 instance keeps every triangle-sharing
-    invariant below, which rules out complements of long paths and hence all
+    invariant of verify.structural_report, which rules out complements of
+    long paths and hence all
     antiholes of length 7 or more; the only odd antihole a sandwich graph can
     contain is a C5 (its own complement).  So C5-freeness coincides with
     odd-antihole-freeness there, and the complement transform turns the
@@ -240,52 +237,6 @@ def completion_from_assignment(gmap, formula, assignment):
     return chosen
 
 
-def five_cycle_census(inst, gmap):
-    """Classify every five-cycle of the allowed graph.
-
-    Walks all cyclic 5-vertex sequences that are cycles in the allowed graph
-    (induced or not) and returns (safe, intended, rogue): cycles with a
-    forced chord can never be induced in a sandwich graph; the rest must be
-    the gadget cycles listed by the map, else the reduction's forward
-    direction would have unplanned C5 obligations.  Tests assert rogue is
-    empty.
-    """
-    g2 = inst.g2()
-    catalog = {}
-    for cyc, pair in gmap.gadget_five_cycles():
-        catalog[Cycle(cyc)] = pair
-    safe = []
-    intended = []
-    rogue = []
-    for cyc in _all_five_cycles(g2):
-        verts = cyc.vertices
-        chords = tuple(normalized_edge(verts[idx], verts[(idx + 2) % 5])
-                       for idx in range(5))
-        if any(e in inst.forced for e in chords):
-            safe.append(cyc)
-        elif cyc in catalog:
-            intended.append(cyc)
-        else:
-            rogue.append(cyc)
-    return safe, intended, rogue
-
-
-def _all_five_cycles(g):
-    """All 5-cycles of g as Cycle values, chords allowed, each once."""
-    adj = g.adj
-    for a in range(g.n):
-        above = ~((1 << (a + 1)) - 1)
-        for b in _bits(adj[a] & above):
-            for c in _bits(adj[b] & above):
-                for d in _bits(adj[c] & above):
-                    if d in (b, c):
-                        continue
-                    closing = adj[d] & adj[a] & above
-                    for e in _bits(closing):
-                        if e > b and e not in (b, c, d):
-                            yield Cycle((a, b, c, d, e))
-
-
 def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's variable chords.
 
@@ -305,110 +256,3 @@ def extract_assignment(gmap, g):
                 witness=Cycle(gmap.variable_cycle[i]))
         assignment[i] = t_in
     return assignment
-
-
-class CheckResult(namedtuple("CheckResult", "ok witness detail",
-                             defaults=(None, ""))):
-    __slots__ = ()
-
-
-class StructuralReport(namedtuple(
-        "StructuralReport", "forced_triangle_free optional_component_shapes"
-        " triangle_sharing no_gem_subgraph")):
-    """The four structural guarantees the construction's proof leans on."""
-
-    __slots__ = ()
-
-    def all_ok(self):
-        return all(result.ok for result in self)
-
-
-def structural_report(inst):
-    """Check the four structural invariants of a built instance.
-
-    1. the forced graph is triangle-free;
-    2. optional edges form a forest whose components are single vertices,
-       single edges, or three-edge paths;
-    3. every triangle of the allowed graph has exactly one optional edge, and
-       shares exactly one edge with exactly one other triangle: a forced edge
-       lying in exactly two triangles;
-    4. the allowed graph has no gem subgraph (P4 plus a dominating vertex),
-       not even a non-induced one.
-
-    Check 4 is what bounds antiholes: a gem-free graph contains no complement
-    of P6, hence no antihole of length 7 or more, and neither does any of its
-    subgraphs -- in particular any sandwich graph.
-    """
-    g1 = inst.g1()
-    g2 = inst.g2()
-
-    tri_forced = triangles(g1)
-    check1 = CheckResult(not tri_forced, tri_forced[0] if tri_forced else None,
-                         "forced graph triangle" if tri_forced else "")
-
-    check2 = _optional_shapes(inst)
-
-    check3 = _triangle_sharing(inst, g2)
-
-    image = find_subgraph(g2, gem_graph())
-    check4 = CheckResult(image is None, image,
-                         "gem subgraph in allowed graph" if image else "")
-
-    return StructuralReport(check1, check2, check3, check4)
-
-
-def _optional_shapes(inst):
-    adjacency = {}
-    for u, v in inst.optional:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    seen = set()
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        idx = 0
-        while idx < len(component):
-            for nxt in adjacency[component[idx]]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    component.append(nxt)
-            idx += 1
-        degrees = sorted(len(adjacency[v]) for v in component)
-        edge_total = sum(degrees) // 2
-        shape_ok = (
-            (len(component) == 2 and edge_total == 1)
-            or (len(component) == 4 and edge_total == 3 and degrees == [1, 1, 2, 2])
-        )
-        if not shape_ok:
-            return CheckResult(False, tuple(sorted(component)),
-                               "optional component is neither an edge nor a "
-                               "three-edge path")
-    return CheckResult(True)
-
-
-def _triangle_sharing(inst, g2):
-    tris = triangles(g2)
-    by_edge = {}
-    for tri in tris:
-        u, v, w = tri
-        for e in ((u, v), (u, w), (v, w)):
-            by_edge.setdefault(e, []).append(tri)
-    for tri in tris:
-        u, v, w = tri
-        tri_edges = ((u, v), (u, w), (v, w))
-        optional_count = sum(1 for e in tri_edges if e in inst.optional)
-        if optional_count != 1:
-            return CheckResult(False, tri,
-                               "triangle has %d optional edges" % optional_count)
-        shared = [e for e in tri_edges if len(by_edge[e]) > 1]
-        if len(shared) != 1:
-            return CheckResult(False, tri,
-                               "triangle shares %d of its edges" % len(shared))
-        e = shared[0]
-        if e not in inst.forced or len(by_edge[e]) != 2:
-            return CheckResult(False, tri,
-                               "shared edge is not a forced edge in exactly "
-                               "two triangles")
-    return CheckResult(True)

@@ -11,18 +11,17 @@ sandwich for the transformed instance, so solvability for a property maps to
 solvability for the complementary property.  The transform is an involution.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import combinations
 
 from .budget import Budget, BudgetExhausted
 from .graph import Graph, _immutable
+# No code here calls `check`; the benchmark's tracing test reads
+# sandwich.check to see that instrumentation restores every binding.
 from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
                           first_violation)
 
 DEFAULT_SOLVE_BUDGET = 10 ** 6
-BRUTE_FORCE_MAX_OPTIONAL = 20
 
 SOLVABLE_PROPERTY_IDS = tuple(p for p in PROPERTY_IDS if p != "berge")
 
@@ -128,14 +127,6 @@ def complement_instance(inst):
     return SandwichInstance(inst.n, inst.forbidden(), inst.optional, inst.names)
 
 
-def is_sandwich_graph(inst, g):
-    """True when forced ⊆ E(g) ⊆ forced ∪ optional (same vertex set)."""
-    if g.n != inst.n:
-        raise ValueError("graph has %d vertices, instance has %d" % (g.n, inst.n))
-    edges = set(g.edges())
-    return inst.forced <= edges and edges <= (inst.forced | inst.optional)
-
-
 class Completion(namedtuple("Completion", "chosen")):
     """The optional edges chosen by a successful solve."""
 
@@ -227,38 +218,3 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
     if result is None:
         return SolveResult("UNSAT", None, nodes.spent)
     return result
-
-
-def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
-    """Reference solver: try every optional subset in counter order.
-
-    Only meant for desk-scale cross-checks; refuses more than
-    BRUTE_FORCE_MAX_OPTIONAL optional edges.
-    """
-    if prop not in SOLVABLE_PROPERTY_IDS:
-        raise ValueError("solve does not support property %r" % (prop,))
-    optional = sorted(inst.optional)
-    if len(optional) > BRUTE_FORCE_MAX_OPTIONAL:
-        raise ValueError("instance has %d optional edges; brute force is "
-                         "capped at %d" % (len(optional), BRUTE_FORCE_MAX_OPTIONAL))
-    base = [0] * inst.n
-    for u, v in inst.forced:
-        base[u] |= 1 << v
-        base[v] |= 1 << u
-    for mask in range(1 << len(optional)):
-        adj = list(base)
-        chosen = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = optional[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            chosen.append((u, v))
-            rest ^= low
-        g = Graph._from_masks(inst.n, adj, inst.names)
-        ok, _ = check(g, prop, check_budget)
-        if ok:
-            return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
-    return SolveResult("UNSAT", None, 1 << len(optional))
-

@@ -9,32 +9,379 @@ propagation chain, and end-to-end behaviour of the even-hole reduction.
 The oracle here is deliberately self-contained (subset scanning over bitmask
 adjacency) so the CLI `verify` command shares no logic with the code under
 test.  All randomness is seeded and the seed is reported in each result.
-"""
 
-from __future__ import annotations
+This module is also the home of everything only these checks and the tests
+call: reference searches over graphs (`chordless_cycles`, `triangles`,
+`find_subgraph`, `find_induced_path`), the reference solver
+`brute_force_solve`, and the five-cycle reduction's invariant checks
+(`structural_report`, `five_cycle_census`).  No CLI command but `verify`
+imports this module, so the others never compile that code at start-up.
+"""
 
 import random
 from collections import namedtuple
 from itertools import combinations, product
 
+from .budget import Budget, BudgetExhausted
 from .cnf import CnfFormula
-from .graph import Graph, find_induced_path
-from .recognition import check
+from .graph import Cycle, Graph, _bits, iter_chordless_cycles
+from .recognition import DEFAULT_CHECK_BUDGET, check
 from .reduction_even import (build_even_instance, completion_from_assignment,
                              extract_assignment as extract_even,
                              propagate_orientations, solve_with_orientations)
-from .reduction_odd import (build_c5_instance, extract_assignment as
-                            extract_odd, structural_report)
-from .sandwich import (SOLVABLE_PROPERTY_IDS, SandwichInstance,
-                       brute_force_solve, complement_instance,
-                       is_sandwich_graph, solve)
+from .reduction_odd import build_c5_instance, extract_assignment as extract_odd
+from .sandwich import (SOLVABLE_PROPERTY_IDS, Completion, SandwichInstance,
+                       SolveResult, complement_instance, normalized_edge,
+                       solve)
 
 DEFAULT_SEED = 20240901
+MAX_PATTERN_VERTICES = 8
+BRUTE_FORCE_MAX_OPTIONAL = 20
 
 
 class CriterionResult(namedtuple("CriterionResult",
                                  "number name passed detail")):
     __slots__ = ()
+
+
+# -- graph reference searches -----------------------------------------------
+
+def chordless_cycles(g, min_len=4, budget=None):
+    """All chordless cycles of length >= min_len, canonical and deduplicated.
+
+    `budget` is a step count (int) or None for unlimited.  On exhaustion a
+    BudgetExhausted carrying the cycles found so far is raised.
+    """
+    tracker = Budget(budget)
+    found = []
+    try:
+        for cyc in iter_chordless_cycles(g, min_len, tracker):
+            found.append(cyc)
+    except BudgetExhausted as exc:
+        raise BudgetExhausted(str(exc), partial=found) from None
+    return sorted(found, key=lambda c: (c.length, c.vertices))
+
+
+def triangles(g):
+    """All 3-cliques as sorted (u, v, w) tuples, lexicographic order."""
+    out = []
+    adj = g.adj
+    for u in range(g.n):
+        above_u = adj[u] >> (u + 1) << (u + 1)
+        for v in _bits(above_u):
+            common = adj[u] & adj[v]
+            for w in _bits(common >> (v + 1) << (v + 1)):
+                out.append((u, v, w))
+    return out
+
+
+def find_subgraph(g, pattern):
+    """An injective map sending pattern edges onto g edges, or None.
+
+    Subgraph containment is *not* induced: pattern non-edges may map onto
+    edges of g.  Returns a tuple `m` with m[i] = image of pattern vertex i.
+    Patterns are capped at MAX_PATTERN_VERTICES vertices.
+    """
+    k = pattern.n
+    if k > MAX_PATTERN_VERTICES:
+        raise ValueError("pattern has %d vertices; at most %d supported"
+                         % (k, MAX_PATTERN_VERTICES))
+    if k == 0:
+        return ()
+    if k > g.n:
+        return None
+
+    # Order pattern vertices so each one (after the first) touches a placed
+    # vertex when possible; candidates then shrink to neighbourhood
+    # intersections.
+    order = []
+    placed = set()
+    degs = [pattern.degree(v) for v in range(k)]
+    while len(order) < k:
+        best = None
+        for v in range(k):
+            if v in placed:
+                continue
+            back = sum(1 for u in pattern.neighbors(v) if u in placed)
+            key = (back, degs[v], -v)
+            if best is None or key > best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed.add(best[1])
+
+    g_degs = [g.degree(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    image = {}
+
+    def place(idx, used_mask):
+        if idx == k:
+            return True
+        pv = order[idx]
+        cand = full & ~used_mask
+        for pu in pattern.neighbors(pv):
+            if pu in image:
+                cand &= g.adj[image[pu]]
+        for gv in _bits(cand):
+            if g_degs[gv] < degs[pv]:
+                continue
+            image[pv] = gv
+            if place(idx + 1, used_mask | (1 << gv)):
+                return True
+            del image[pv]
+        return False
+
+    if place(0, 0):
+        return tuple(image[v] for v in range(k))
+    return None
+
+
+def contains_subgraph(g, pattern):
+    """True when g contains pattern as a (not necessarily induced) subgraph."""
+    return find_subgraph(g, pattern) is not None
+
+
+def find_induced_path(g, k):
+    """Vertices of an induced path on k vertices, or None.
+
+    Depth-first over paths whose extensions must avoid every earlier path
+    vertex's neighbourhood, so candidate sets are neighbourhood
+    intersections and stay small even in dense graphs.
+    """
+    if k <= 0:
+        return None
+    if k == 1:
+        return (0,) if g.n else None
+    adj = g.adj
+
+    def extend(path, tail_mask, forbid):
+        if len(path) == k:
+            return path
+        tail = path[-1]
+        cand = adj[tail] & ~forbid & ~tail_mask
+        for v in _bits(cand):
+            found = extend(path + (v,), tail_mask | (1 << v),
+                           forbid | adj[tail])
+            if found:
+                return found
+        return None
+
+    # Both traversal directions of a path start at an endpoint, so every
+    # ordered first edge must be tried; no orientation symmetry to break.
+    for a in range(g.n):
+        for b in _bits(adj[a]):
+            found = extend((a, b), (1 << a) | (1 << b), adj[a])
+            if found:
+                return found
+    return None
+
+
+def gem_graph():
+    """A four-vertex path plus one vertex adjacent to all of it.
+
+    Equivalently the complement of (P4 + isolated vertex).  This is the
+    five-vertex pattern whose absence as a subgraph certifies that no
+    complement-of-long-path (and hence no long antihole) can occur.
+    """
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
+
+
+# -- reference sandwich solver ----------------------------------------------
+
+def is_sandwich_graph(inst, g):
+    """True when forced ⊆ E(g) ⊆ forced ∪ optional (same vertex set)."""
+    if g.n != inst.n:
+        raise ValueError("graph has %d vertices, instance has %d" % (g.n, inst.n))
+    edges = set(g.edges())
+    return inst.forced <= edges and edges <= (inst.forced | inst.optional)
+
+
+def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
+    """Reference solver: try every optional subset in counter order.
+
+    Only meant for desk-scale cross-checks; refuses more than
+    BRUTE_FORCE_MAX_OPTIONAL optional edges.
+    """
+    if prop not in SOLVABLE_PROPERTY_IDS:
+        raise ValueError("solve does not support property %r" % (prop,))
+    optional = sorted(inst.optional)
+    if len(optional) > BRUTE_FORCE_MAX_OPTIONAL:
+        raise ValueError("instance has %d optional edges; brute force is "
+                         "capped at %d" % (len(optional), BRUTE_FORCE_MAX_OPTIONAL))
+    base = [0] * inst.n
+    for u, v in inst.forced:
+        base[u] |= 1 << v
+        base[v] |= 1 << u
+    for mask in range(1 << len(optional)):
+        adj = list(base)
+        chosen = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            u, v = optional[low.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            chosen.append((u, v))
+            rest ^= low
+        g = Graph._from_masks(inst.n, adj, inst.names)
+        ok, _ = check(g, prop, check_budget)
+        if ok:
+            return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
+    return SolveResult("UNSAT", None, 1 << len(optional))
+
+
+# -- five-cycle reduction invariants ----------------------------------------
+
+def five_cycle_census(inst, gmap):
+    """Classify every five-cycle of the allowed graph.
+
+    Walks all cyclic 5-vertex sequences that are cycles in the allowed graph
+    (induced or not) and returns (safe, intended, rogue): cycles with a
+    forced chord can never be induced in a sandwich graph; the rest must be
+    the gadget cycles listed by the map, else the reduction's forward
+    direction would have unplanned C5 obligations.  Tests assert rogue is
+    empty.
+    """
+    g2 = inst.g2()
+    catalog = {}
+    for cyc, pair in gmap.gadget_five_cycles():
+        catalog[Cycle(cyc)] = pair
+    safe = []
+    intended = []
+    rogue = []
+    for cyc in _all_five_cycles(g2):
+        verts = cyc.vertices
+        chords = tuple(normalized_edge(verts[idx], verts[(idx + 2) % 5])
+                       for idx in range(5))
+        if any(e in inst.forced for e in chords):
+            safe.append(cyc)
+        elif cyc in catalog:
+            intended.append(cyc)
+        else:
+            rogue.append(cyc)
+    return safe, intended, rogue
+
+
+def _all_five_cycles(g):
+    """All 5-cycles of g as Cycle values, chords allowed, each once."""
+    adj = g.adj
+    for a in range(g.n):
+        above = ~((1 << (a + 1)) - 1)
+        for b in _bits(adj[a] & above):
+            for c in _bits(adj[b] & above):
+                for d in _bits(adj[c] & above):
+                    if d in (b, c):
+                        continue
+                    closing = adj[d] & adj[a] & above
+                    for e in _bits(closing):
+                        if e > b and e not in (b, c, d):
+                            yield Cycle((a, b, c, d, e))
+
+
+class CheckResult(namedtuple("CheckResult", "ok witness detail",
+                             defaults=(None, ""))):
+    __slots__ = ()
+
+
+class StructuralReport(namedtuple(
+        "StructuralReport", "forced_triangle_free optional_component_shapes"
+        " triangle_sharing no_gem_subgraph")):
+    """The four structural guarantees the construction's proof leans on."""
+
+    __slots__ = ()
+
+    def all_ok(self):
+        return all(result.ok for result in self)
+
+
+def structural_report(inst):
+    """Check the four structural invariants of a built instance.
+
+    1. the forced graph is triangle-free;
+    2. optional edges form a forest whose components are single vertices,
+       single edges, or three-edge paths;
+    3. every triangle of the allowed graph has exactly one optional edge, and
+       shares exactly one edge with exactly one other triangle: a forced edge
+       lying in exactly two triangles;
+    4. the allowed graph has no gem subgraph (P4 plus a dominating vertex),
+       not even a non-induced one.
+
+    Check 4 is what bounds antiholes: a gem-free graph contains no complement
+    of P6, hence no antihole of length 7 or more, and neither does any of its
+    subgraphs -- in particular any sandwich graph.
+    """
+    g1 = inst.g1()
+    g2 = inst.g2()
+
+    tri_forced = triangles(g1)
+    check1 = CheckResult(not tri_forced, tri_forced[0] if tri_forced else None,
+                         "forced graph triangle" if tri_forced else "")
+
+    check2 = _optional_shapes(inst)
+
+    check3 = _triangle_sharing(inst, g2)
+
+    image = find_subgraph(g2, gem_graph())
+    check4 = CheckResult(image is None, image,
+                         "gem subgraph in allowed graph" if image else "")
+
+    return StructuralReport(check1, check2, check3, check4)
+
+
+def _optional_shapes(inst):
+    adjacency = {}
+    for u, v in inst.optional:
+        adjacency.setdefault(u, []).append(v)
+        adjacency.setdefault(v, []).append(u)
+    seen = set()
+    for start in sorted(adjacency):
+        if start in seen:
+            continue
+        component = [start]
+        seen.add(start)
+        idx = 0
+        while idx < len(component):
+            for nxt in adjacency[component[idx]]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    component.append(nxt)
+            idx += 1
+        degrees = sorted(len(adjacency[v]) for v in component)
+        edge_total = sum(degrees) // 2
+        shape_ok = (
+            (len(component) == 2 and edge_total == 1)
+            or (len(component) == 4 and edge_total == 3 and degrees == [1, 1, 2, 2])
+        )
+        if not shape_ok:
+            return CheckResult(False, tuple(sorted(component)),
+                               "optional component is neither an edge nor a "
+                               "three-edge path")
+    return CheckResult(True)
+
+
+def _triangle_sharing(inst, g2):
+    tris = triangles(g2)
+    by_edge = {}
+    for tri in tris:
+        u, v, w = tri
+        for e in ((u, v), (u, w), (v, w)):
+            by_edge.setdefault(e, []).append(tri)
+    for tri in tris:
+        u, v, w = tri
+        tri_edges = ((u, v), (u, w), (v, w))
+        optional_count = sum(1 for e in tri_edges if e in inst.optional)
+        if optional_count != 1:
+            return CheckResult(False, tri,
+                               "triangle has %d optional edges" % optional_count)
+        shared = [e for e in tri_edges if len(by_edge[e]) > 1]
+        if len(shared) != 1:
+            return CheckResult(False, tri,
+                               "triangle shares %d of its edges" % len(shared))
+        e = shared[0]
+        if e not in inst.forced or len(by_edge[e]) != 2:
+            return CheckResult(False, tri,
+                               "shared edge is not a forced edge in exactly "
+                               "two triangles")
+    return CheckResult(True)
 
 
 # -- local oracle -----------------------------------------------------------

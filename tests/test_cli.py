@@ -231,6 +231,13 @@ def test_usage_errors_exit_two(workdir, capsys):
     run("solve", inst, "--property", "even-hole-free", "--completion-out",
         comp)
     roles = json.loads((workdir / "xyz.inst.roles.json").read_text())
+    # JSON numbers with a fraction part load as floats, which are no
+    # variable count or literal.
+    for key, value in (("num_vars", 3.0), ("clauses", [[1.0, 2, 3]])):
+        (workdir / "bad.roles.json").write_text(json.dumps({**roles,
+                                                            key: value}))
+        assert run("extract", comp, "--roles", workdir / "bad.roles.json") == 2
+        assert "bad formula" in capsys.readouterr().err
     roles["vertex_roles"]["0"] = "bogus"
     del roles["vertex_roles"]["5"]
     (workdir / "bad.roles.json").write_text(json.dumps(roles))
@@ -297,29 +304,41 @@ def test_module_entry_point(workdir):
     assert done.stdout.startswith("sandwich 16")
 
 
-def fresh_imports(module):
+def fresh_imports(module, then=""):
     """The modules that importing `module` adds in a fresh interpreter;
-    those its start-up (`site`) already loaded do not count."""
+    those its start-up (`site`) already loaded do not count.  `then` is
+    more code to run after the import; the words it prints are added."""
     src = os.path.dirname(os.path.dirname(holesandwich.__file__))
     code = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
-            "import %s; print(*sorted(set(sys.modules) - before))"
-            % (src, module))
+            "import %s; print(*sorted(set(sys.modules) - before)); %s"
+            % (src, module, then))
     done = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, check=True)
     return set(done.stdout.split())
 
 
+STARTUP_MODULES = tuple("holesandwich." + name for name in (
+    "graph", "recognition", "sandwich", "reduction_even", "reduction_odd",
+    "cnf", "io"))
+
+
 def test_cli_import_footprint():
     # Every CLI command runs in a fresh process.  dataclasses with inspect
     # would add about 18 ms and 1 MiB to each one's start-up; verify, json
-    # and argparse are imported by the code paths that need them.
-    loaded = fresh_imports("holesandwich.cli")
+    # and argparse are imported by the code paths that need them.  Without
+    # bytecode files each module is compiled from source, so the
+    # verification layer lives in verify, off the start-up path.
+    verify_only = ("structural_report", "brute_force_solve", "find_subgraph",
+                   "chordless_cycles")
+    loaded = fresh_imports("holesandwich.cli", then=(
+        "print(*(m + '.' + name for m in %r for name in %r "
+        "if hasattr(sys.modules[m], name)))" % (STARTUP_MODULES, verify_only)))
     assert not loaded & {"dataclasses", "inspect", "json", "argparse",
-                         "holesandwich.verify"}
+                         "holesandwich.verify", "__future__"}
+    assert not {m + "." + name for m in STARTUP_MODULES
+                for name in verify_only} & loaded
     # bench/spans.py finds the modules it traces in sys.modules.
-    assert {"holesandwich." + name for name in (
-        "graph", "recognition", "sandwich", "reduction_even",
-        "reduction_odd", "cnf", "io")} <= loaded
+    assert set(STARTUP_MODULES) <= loaded
 
 
 def test_package_facade():

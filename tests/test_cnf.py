@@ -35,6 +35,14 @@ def test_model_validation():
         CnfFormula(3, ((1, 0, 2),))        # zero literal
     with pytest.raises(CnfError):
         CnfFormula(-1, ())
+    with pytest.raises(CnfError):
+        CnfFormula(3.0, ((1, 2, 3),))      # non-integer variable count
+    with pytest.raises(CnfError):
+        CnfFormula(3, ((1.0, 2, 3),))      # non-integer literal
+    with pytest.raises(CnfError):
+        CnfFormula(True, ())               # bool variable count
+    with pytest.raises(CnfError):
+        CnfFormula(3, ((True, 2, 3),))     # bool literal
 
 
 def test_satisfied_by():

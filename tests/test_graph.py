@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesandwich.budget import BudgetExhausted
-from holesandwich.graph import (Cycle, Graph, canonical_rotation,
-                                chordless_cycles, complement, complete_graph,
-                                contains_subgraph, cycle_graph,
-                                find_induced_path, find_subgraph, gem_graph,
-                                induced, is_bipartite, path_graph, triangles)
+from holesandwich.graph import (Cycle, Graph, canonical_rotation, complement,
+                                complete_graph, cycle_graph, induced,
+                                is_bipartite, path_graph)
+from holesandwich.verify import (chordless_cycles, contains_subgraph,
+                                 find_induced_path, find_subgraph, gem_graph,
+                                 triangles)
 
 from oracles import (chordless_cycles_oracle, complement_edges, edge_set,
                      is_induced_cycle, is_two_colourable, petersen_edges,

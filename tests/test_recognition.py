@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesandwich.budget import BudgetExhausted
-from holesandwich.graph import (Graph, chordless_cycles, complement,
-                                complete_graph, cycle_graph, path_graph)
+from holesandwich.graph import (Graph, complement, complete_graph,
+                                cycle_graph, path_graph)
 from holesandwich.recognition import (PROPERTY_IDS, check, first_violation,
                                       is_chordal, verify_certificate)
+from holesandwich.verify import chordless_cycles
 
 from oracles import petersen_edges, property_oracle
 

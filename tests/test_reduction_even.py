@@ -18,8 +18,9 @@ from holesandwich.reduction_even import (IncompleteOrientationError,
                                          propagate_orientations,
                                          read_orientation,
                                          solve_with_orientations)
-from holesandwich.sandwich import (SandwichInstance, is_sandwich_graph,
-                                   normalized_edge, solve, validate)
+from holesandwich.sandwich import (SandwichInstance, normalized_edge, solve,
+                                   validate)
+from holesandwich.verify import is_sandwich_graph
 
 from oracles import propagation_oracle
 

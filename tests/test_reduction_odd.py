@@ -12,10 +12,10 @@ from holesandwich.recognition import check
 from holesandwich.reduction_odd import (GadgetError, build_c5_instance,
                                         build_odd_hole_free_instance,
                                         completion_from_assignment,
-                                        extract_assignment, five_cycle_census,
-                                        structural_report)
-from holesandwich.sandwich import (complement_instance, is_sandwich_graph,
-                                   solve, validate)
+                                        extract_assignment)
+from holesandwich.sandwich import complement_instance, solve, validate
+from holesandwich.verify import (five_cycle_census, is_sandwich_graph,
+                                 structural_report)
 
 from oracles import property_oracle
 

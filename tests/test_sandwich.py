@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from holesandwich.graph import Graph, cycle_graph
 from holesandwich.recognition import check
 from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, SandwichInstance,
-                                   brute_force_solve, complement_instance,
-                                   is_sandwich_graph, solve, validate)
+                                   complement_instance, solve, validate)
+from holesandwich.verify import brute_force_solve, is_sandwich_graph
 
 from oracles import sandwich_oracle
 
