@@ -9,6 +9,7 @@ fails / extraction falsifies, 2 = usage or parse error, 3 = budget exhausted.
 """
 
 import sys
+from functools import cache
 
 from .budget import BudgetExhausted
 from .cnf import CnfError, CnfFormula, parse_dimacs
@@ -214,7 +215,10 @@ def _cmd_export_dot(args):
 
 # -- parser -------------------------------------------------------------------
 
+@cache
 def _parser():
+    # Built on the first main call, once per process: every parser leaves
+    # reference cycles that only a full garbage collection frees.
     import argparse
     parser = argparse.ArgumentParser(
         prog="holesandwich",

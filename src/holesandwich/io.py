@@ -201,10 +201,12 @@ def format_dot(inst, chosen=None, graph_name="sandwich"):
 
     With a completion, chosen optional edges are drawn solid bold and the
     remaining optional edges dotted, so the realized graph stands out.
+    Labels are quoted with backslash and double quote escaped; the graph
+    name is quoted too unless it is a bare identifier.
     """
-    lines = ["graph %s {" % graph_name]
+    lines = ["graph %s {" % _dot_id(graph_name)]
     for v in range(inst.n):
-        lines.append('  %d [label="%s"];' % (v, inst.name(v)))
+        lines.append("  %d [label=%s];" % (v, _dot_string(inst.name(v))))
     for u, v in sorted(inst.forced):
         lines.append("  %d -- %d;" % (u, v))
     for u, v in sorted(inst.optional):
@@ -216,6 +218,20 @@ def format_dot(inst, chosen=None, graph_name="sandwich"):
             lines.append("  %d -- %d [style=dashed];" % (u, v))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_string(text):
+    """`text` as a quoted DOT string."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_id(text):
+    """`text` as a DOT ID: bare when it is an identifier and no keyword,
+    quoted otherwise."""
+    if text.isidentifier() and text.lower() not in (
+            "node", "edge", "graph", "digraph", "subgraph", "strict"):
+        return text
+    return _dot_string(text)
 
 
 def _vertex(token, n, lineno):

@@ -22,11 +22,10 @@ shoulder to every knee.
 import itertools
 from collections import namedtuple
 
-from .budget import Budget, BudgetExhausted
 from .graph import Cycle
 from .recognition import DEFAULT_CHECK_BUDGET, check
 from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
-                       SolveResult, normalized_edge)
+                       depth_first, normalized_edge)
 
 IN, OUT, UND = 1, 0, 2
 
@@ -403,60 +402,40 @@ def solve_with_orientations(formula, inst, gmap,
                             check_budget=DEFAULT_CHECK_BUDGET):
     """Exact even-hole-free sandwich search by orientation branching.
 
-    Depth-first over variables; each call is one node.  A node propagates
-    its decisions and splits on the optional edge foot-S_x of the next
-    variable x, in (x true) before out; a leaf checks the canonical
-    completion of its assignment.  A failing leaf must propagate to a
-    contradiction, and raises AssertionError when it does not or when its
-    assignment satisfies the formula.  The split is exhaustive, so no SAT
-    leaf means an exact UNSAT (docs/solver.md).  `budget` caps nodes and
-    `check_budget` each recognition search; None means unlimited.
+    Depth-first over variables; a state is a pair (decisions, assignment)
+    and each expanded state is one node.  A node propagates its decisions
+    and splits on the optional edge foot-S_x of the next variable x, in
+    (x true) before out, skipping a side propagation has decided the other
+    way; a leaf checks the canonical completion of its assignment.  A
+    failing leaf must propagate to a contradiction, and raises
+    AssertionError when it does not or when its assignment satisfies the
+    formula.  The split is exhaustive, so no SAT leaf means an exact UNSAT
+    (docs/solver.md).  `budget` caps nodes and `check_budget` each
+    recognition search; None means unlimited.
     """
-    tracker = Budget(budget)
-    frontier = 0
-
-    def descend(decided, assignment):
-        nonlocal frontier
-        tracker.spend()
+    def expand(state):
+        decided, assignment = state
         var = len(assignment) + 1
         leaf = var > formula.num_vars
         if leaf:
             g = completion_from_assignment(formula, assignment, gmap)
             if check(g, "even-hole-free", budget=check_budget)[0]:
-                chosen = frozenset(e for e in inst.optional
-                                   if g.has_edge(*e))
-                return SolveResult("SAT", Completion(chosen), tracker.spent)
+                return Completion(frozenset(e for e in inst.optional
+                                            if g.has_edge(*e)))
             if formula.satisfied_by(assignment):
                 raise AssertionError(
                     "canonical completion of satisfying assignment %r of %r "
                     "is not even-hole-free" % (assignment, formula))
         result = propagate_orientations(inst, gmap, decided)
         if result.status == "contradiction":
-            return None
+            return []
         if leaf:
             raise AssertionError(
                 "propagation does not refute falsifying assignment %r of %r"
                 % (assignment, formula))
         merged = {**decided, **result.forced}
         e = normalized_edge(gmap.foot, gmap.shoulder[var])
-        # The sides propagation has not decided the other way.  The untried
-        # ones stay counted in the frontier while the first runs; a BUDGET
-        # stop inside it leaves them counted.
-        sides = [p for p in (True, False) if merged.get(e, p) == p]
-        while sides:
-            positive = sides.pop(0)
-            frontier += len(sides)
-            found = descend({**merged, e: positive},
-                            {**assignment, var: positive})
-            if found is not None:
-                return found
-            frontier -= len(sides)
-        return None
+        return [({**merged, e: side}, {**assignment, var: side})
+                for side in (True, False) if merged.get(e, side) == side]
 
-    try:
-        found = descend({}, {})
-    except BudgetExhausted:
-        return SolveResult("BUDGET", None, tracker.spent, frontier)
-    if found is None:
-        return SolveResult("UNSAT", None, tracker.spent)
-    return found
+    return depth_first(({}, {}), expand, budget)

@@ -116,9 +116,15 @@ def validate(inst):
     overlap = inst.forced & inst.optional
     if overlap:
         errors.append("forced and optional overlap on %r" % sorted(overlap))
-    if inst.names is not None and len(inst.names) != inst.n:
-        errors.append("names table has %d entries for %d vertices"
-                      % (len(inst.names), inst.n))
+    if inst.names is not None:
+        if len(inst.names) != inst.n:
+            errors.append("names table has %d entries for %d vertices"
+                          % (len(inst.names), inst.n))
+        # A name is one token of the `v <id> <role>` line io writes.
+        for v, name in enumerate(inst.names):
+            if not isinstance(name, str) or name.split() != [name]:
+                errors.append("name %r of vertex %d is not one non-empty "
+                              "word" % (name, v))
     return errors
 
 
@@ -139,9 +145,35 @@ class Completion(namedtuple("Completion", "chosen")):
 class SolveResult(namedtuple("SolveResult", "verdict completion nodes frontier",
                              defaults=(0,))):
     """verdict: "SAT", "UNSAT" or "BUDGET"; nodes: search nodes explored;
-    frontier: unexplored alternative branches at a BUDGET stop."""
+    frontier: states still waiting to be explored at a BUDGET stop."""
 
     __slots__ = ()
+
+
+def depth_first(root, expand, budget):
+    """Iterative depth-first search, the driver of both exact solvers.
+
+    `expand(state)` returns a Completion when the state is a solution, else
+    the child states in the order to try them; an empty list is a dead
+    branch.  Each expanded state is one node, counted against `budget`
+    (None: unlimited).  Returns SAT with the first completion found, UNSAT
+    when every branch is dead, or BUDGET when the node budget, or a
+    BudgetExhausted raised by `expand`, stops the search; `frontier` is
+    then the number of states still waiting.
+    """
+    nodes = Budget(budget)
+    waiting = [root]
+    try:
+        while waiting:
+            state = waiting.pop()
+            nodes.spend()
+            children = expand(state)
+            if isinstance(children, Completion):
+                return SolveResult("SAT", children, nodes.spent)
+            waiting.extend(reversed(children))
+    except BudgetExhausted:
+        return SolveResult("BUDGET", None, nodes.spent, len(waiting))
+    return SolveResult("UNSAT", None, nodes.spent)
 
 
 def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BUDGET):
@@ -157,8 +189,8 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
 
     `budget` caps search nodes and `check_budget` each violation search's
     expansions; None means unlimited.  On exhaustion of either the verdict is
-    "BUDGET" with the count of unexplored alternative branches.  See
-    docs/solver.md for the completeness argument.
+    "BUDGET" with the count of unexplored out-branches.  See docs/solver.md
+    for the completeness argument.
     """
     if prop not in SOLVABLE_PROPERTY_IDS:
         raise ValueError("solve does not support property %r" % (prop,))
@@ -167,54 +199,17 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
         raise ValueError("invalid instance: " + "; ".join(errors))
 
     optional = sorted(inst.optional)
-    decided = {}
-    nodes = Budget(budget)
-    frontier = 0
 
-    def current_graph():
+    def expand(decided):
         chosen = [e for e in optional if decided.get(e)]
-        return Graph(inst.n, list(inst.forced) + chosen, inst.names)
-
-    def repair_pairs(g, structure):
-        pairs = []
-        for u, v in combinations(sorted(structure), 2):
-            if g.has_edge(u, v):
-                continue
-            e = (u, v)
-            if e in inst.optional and e not in decided:
-                pairs.append(e)
-        return pairs
-
-    def search():
-        nonlocal frontier
-        nodes.spend()
-        g = current_graph()
+        g = Graph(inst.n, list(inst.forced) + chosen, inst.names)
         violation = first_violation(g, prop, check_budget)
         if violation is None:
-            chosen = frozenset(e for e in optional if decided.get(e))
-            return SolveResult("SAT", Completion(chosen), nodes.spent)
-        pairs = repair_pairs(g, violation.vertices)
-        if not pairs:
-            return None
-        e = pairs[0]
-        # The out-branch of e stays pending, and counted in the frontier,
-        # until the in-branch fails; a BUDGET stop inside it leaves it counted.
-        frontier += 1
-        decided[e] = True
-        result = search()
-        if result is not None:
-            del decided[e]
-            return result
-        frontier -= 1
-        decided[e] = False
-        result = search()
-        del decided[e]
-        return result
+            return Completion(frozenset(chosen))
+        for e in combinations(sorted(violation.vertices), 2):
+            if (not g.has_edge(*e) and e in inst.optional
+                    and e not in decided):
+                return [{**decided, e: True}, {**decided, e: False}]
+        return []
 
-    try:
-        result = search()
-    except BudgetExhausted:
-        return SolveResult("BUDGET", None, nodes.spent, frontier)
-    if result is None:
-        return SolveResult("UNSAT", None, nodes.spent)
-    return result
+    return depth_first({}, expand, budget)

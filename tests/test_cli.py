@@ -1,5 +1,6 @@
 """Command-line behaviour: pipelines, exit codes, file round trips."""
 
+import gc
 import json
 import os
 import subprocess
@@ -10,7 +11,12 @@ import pytest
 
 import holesandwich
 from holesandwich.cli import main
-from holesandwich.io import parse_instance
+from holesandwich.cnf import CnfFormula
+from holesandwich.io import format_instance, parse_instance
+from holesandwich.reduction_even import (build_even_instance,
+                                         solve_with_orientations)
+from holesandwich.reduction_odd import build_c5_instance
+from holesandwich.sandwich import solve
 
 DIMACS_XYZ = "c one clause\np cnf 3 1\n1 2 3 0\n"
 DIMACS_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -291,6 +297,32 @@ def test_verify_reports_seed_and_passes(workdir, capsys):
     assert "[PASS] 8 even-instance-census" in out
     assert run("verify", "--suite", "even-instance-census") == 0
     assert capsys.readouterr().out.splitlines()[0] == "seed 20240901"
+
+
+# -- memory ----------------------------------------------------------------------
+
+def test_calls_leave_no_cyclic_garbage(workdir):
+    # Objects in reference cycles outlive a call until a full collection,
+    # which runs rarely; a benchmark item's peak memory counts them.
+    formula = CnfFormula(3, ((1, 2, 3),))
+    even, gmap = build_even_instance(formula)
+    c5, _ = build_c5_instance(formula)
+    path = workdir / "c5.inst"
+    path.write_text(format_instance(c5))
+
+    def calls():
+        assert solve_with_orientations(formula, even, gmap).verdict == "SAT"
+        assert solve(c5, "c5-free").verdict == "SAT"
+        assert run("solve", path, "--property", "c5-free") == 0
+
+    calls()
+    gc.collect()
+    gc.disable()
+    try:
+        calls()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- console script wiring -------------------------------------------------------

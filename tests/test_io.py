@@ -134,3 +134,16 @@ def test_dot_styles():
     chosen = format_dot(inst, {(1, 2)})
     assert "  1 -- 2 [style=bold];" in chosen
     assert "  0 -- 2 [style=dotted];" in chosen
+
+
+def test_dot_escapes_labels_and_quotes_names():
+    inst = parse_instance('sandwich 2\nv 0 a"b\nv 1 c\\\nf 0 1\n')
+    dot = format_dot(inst)
+    assert dot.startswith("graph sandwich {")
+    assert '  0 [label="a\\"b"];' in dot
+    assert '  1 [label="c\\\\"];' in dot
+    for name, header in (("my graph", 'graph "my graph" {'),
+                         ("Graph", 'graph "Graph" {'),
+                         ('x"y', 'graph "x\\"y" {'),
+                         ("", 'graph "" {')):
+        assert format_dot(inst, graph_name=name).startswith(header)

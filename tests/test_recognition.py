@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesandwich import recognition
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import (Graph, complement, complete_graph,
                                 cycle_graph, path_graph)
@@ -162,6 +163,38 @@ def test_antihole_freeness_is_complement_hole_freeness(g):
 def test_berge_is_the_conjunction(g):
     assert check(g, "berge")[0] == (check(g, "odd-hole-free")[0]
                                     and check(g, "odd-antihole-free")[0])
+
+
+# -- C5 path search -----------------------------------------------------------
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=80)
+def test_c5_path_search_matches_oracle(g):
+    # Graphs up to C5_SCAN_MAX_VERTICES take the five-subset scan; with
+    # the threshold at 0 every graph takes the path search.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recognition, "C5_SCAN_MAX_VERTICES", 0)
+        verdict, cert = check(g, "c5-free")
+    assert verdict == property_oracle(g.n, g.edges(), "c5-free")
+    assert verify_certificate(g, "c5-free", verdict, cert)
+
+
+def test_c5_path_search_above_the_scan_threshold():
+    # n = 45: holes of length 6 and 7 on 0..5 and 6..12, K13,14 on 13..39,
+    # a five-cycle on 40..44, and 40 joined to the side 13..25.  Every
+    # cycle through 40 and the bipartite part is even, so the planted
+    # cycle is the only C5, found after the longer holes.
+    edges = [(i, (i + 1) % 6) for i in range(6)]
+    edges += [(6 + i, 6 + (i + 1) % 7) for i in range(7)]
+    edges += [(u, v) for u in range(13, 26) for v in range(26, 40)]
+    edges += [(40 + i, 40 + (i + 1) % 5) for i in range(5)]
+    edges += [(u, 40) for u in range(13, 26)]
+    planted = Graph(45, edges)
+    ok, cert = check(planted, "c5-free")
+    assert not ok and sorted(cert.vertices) == list(range(40, 45))
+    assert verify_certificate(planted, "c5-free", ok, cert)
+    k = Graph(45, [(u, v) for u in range(22) for v in range(22, 45)])
+    assert check(k, "c5-free") == (True, None)
 
 
 # -- budget -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Sandwich instance model, complement transform, and solver exactness."""
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from holesandwich.graph import Graph, cycle_graph
 from holesandwich.recognition import check
-from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, SandwichInstance,
-                                   complement_instance, solve, validate)
+from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, Completion,
+                                   SandwichInstance, complement_instance,
+                                   depth_first, solve, validate)
 from holesandwich.verify import brute_force_solve, is_sandwich_graph
 
 from oracles import sandwich_oracle
@@ -52,6 +55,21 @@ def test_validate_lists_violations():
     object.__setattr__(broken, "names", None)
     problems = validate(broken)
     assert len(problems) == 3  # out-of-range, overlap, loop
+
+
+def test_names_must_be_single_words():
+    # format_instance writes `v <id> <name>` lines, which parse_instance
+    # splits on whitespace.
+    with pytest.raises(ValueError, match="not one non-empty word"):
+        SandwichInstance.build(2, [(0, 1)], [], ["a b", ""])
+    broken = SandwichInstance(2, frozenset({(0, 1)}), frozenset(),
+                              ("a b", ""))
+    assert len(validate(broken)) == 2
+    for name in ("a\tb", "a\n", " a", 7):
+        with pytest.raises(ValueError):
+            SandwichInstance.build(2, [(0, 1)], [], ["x", name])
+    assert SandwichInstance.build(2, [(0, 1)], [], ['a"b', "c\\"]).names \
+        == ('a"b', "c\\")
 
 
 def test_forbidden_is_the_remainder():
@@ -161,6 +179,44 @@ def test_budget_verdict():
     unlimited = solve(inst, "chordal", budget=None, check_budget=None)
     assert unlimited.verdict == "SAT"
     assert check(unlimited.completion.realize(inst), "chordal")[0]
+
+
+def test_depth_first_order_nodes_and_frontier():
+    # A binary tree of depth 3 whose leaf 0b110 is the one solution: states
+    # are the branch bits taken so far, 0 before 1.
+    expanded = []
+
+    def expand(path):
+        expanded.append(path)
+        if len(path) == 3:
+            return Completion(path) if path == (1, 1, 0) else []
+        return [path + (0,), path + (1,)]
+
+    result = depth_first((), expand, None)
+    assert result == ("SAT", Completion((1, 1, 0)), len(expanded), 0)
+    assert expanded[:4] == [(), (0,), (0, 0), (0, 0, 0)]
+    # At the fourth node, (0, 0, 0), the siblings (1,), (0, 1) and
+    # (0, 0, 1) wait.
+    assert depth_first((), expand, 3) == ("BUDGET", None, 4, 3)
+    assert depth_first((), lambda path: [], None) == ("UNSAT", None, 1, 0)
+
+
+def test_deep_search_needs_no_recursion():
+    # 300 disjoint forced four-holes, each with its two chords optional:
+    # the search path decides one chord of each, 300 decisions deep.
+    k = 300
+    forced = [(4 * i + j, 4 * i + (j + 1) % 4)
+              for i in range(k) for j in range(4)]
+    chords = [(4 * i + j, 4 * i + j + 2) for i in range(k) for j in (0, 1)]
+    inst = SandwichInstance.build(4 * k, forced, chords)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        result = solve(inst, "even-hole-free")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.verdict, result.nodes) == ("SAT", k + 1)
+    assert check(result.completion.realize(inst), "even-hole-free")[0]
 
 
 @given(instances(max_n=6, max_optional=8),
