@@ -19,7 +19,7 @@ import importlib
 _HOME = {name: module for module, names in (
     ("budget", "Budget BudgetExhausted"),
     ("cnf", "CnfFormula all_assignments format_dimacs parse_dimacs"),
-    ("graph", "Cycle Graph complement induced"),
+    ("graph", "Cycle Graph"),
     ("io", "InstanceFormatError format_completion format_dot "
            "format_instance parse_completion parse_instance"),
     ("recognition", "PROPERTY_IDS Certificate check is_chordal"),

@@ -12,7 +12,7 @@ import sys
 from functools import cache
 
 from .budget import BudgetExhausted
-from .cnf import CnfError, CnfFormula, parse_dimacs
+from .cnf import CnfError, CnfFormula, parse_dimacs, parse_int
 from .io import (InstanceFormatError, dump_roles, format_completion,
                  format_dot, format_instance, load_roles, parse_completion,
                  parse_instance, roles_payload)
@@ -40,9 +40,18 @@ class CliError(Exception):
     """Usage or input error; message goes to stderr, exit code 2."""
 
 
+def _integer(text):
+    """An ASCII integer option value, as every text format spells one."""
+    import argparse
+    value = parse_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text)
+    return value
+
+
 def _budget(text):
     import argparse
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("budget must be non-negative")
     return value
@@ -288,7 +297,7 @@ def _parser():
     p.add_argument("--suite", default="all",
                    help="one suite, or all (default); an unknown name "
                         "lists the suites")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=None,
                    help="RNG seed for randomized suites (default "
                         "verify.DEFAULT_SEED, printed first)")
     p.set_defaults(func=_cmd_verify)

@@ -1,7 +1,7 @@
 """Small immutable graphs with bitset adjacency.
 
-Vertices are dense integers 0..n-1; an optional side table carries
-human-readable role names.  Adjacency is one Python int per vertex, so
+Vertices are dense integers 0..n-1; role names live on the sandwich
+instance, not here.  Adjacency is one Python int per vertex, so
 neighbourhood intersections and subset-degree tests reduce to mask
 arithmetic.  This keeps the exhaustive checks elsewhere in the package honest
 at desk scale without leaving pure Python.
@@ -26,15 +26,11 @@ def _bits(mask):
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "names")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n, edges=(), names=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if names is not None:
-            names = tuple(names)
-            if len(names) != n:
-                raise ValueError("names table must have one entry per vertex")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -45,15 +41,13 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
-        self.names = names
 
     @classmethod
-    def _from_masks(cls, n, masks, names=None):
+    def _from_masks(cls, n, masks):
         """Internal fast path: adopt prebuilt adjacency masks (not validated)."""
         g = cls.__new__(cls)
         g.n = n
         g.adj = tuple(masks)
-        g.names = names
         return g
 
     # -- queries ----------------------------------------------------------
@@ -80,15 +74,12 @@ class Graph:
     def edge_count(self):
         return sum(m.bit_count() for m in self.adj) // 2
 
-    def name(self, v):
-        return self.names[v] if self.names is not None else "v%d" % v
-
     # -- derived graphs ----------------------------------------------------
 
     def complement(self):
         full = (1 << self.n) - 1
         masks = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
-        return Graph._from_masks(self.n, masks, self.names)
+        return Graph._from_masks(self.n, masks)
 
     def induced(self, subset):
         """Induced subgraph, reindexed to 0..k-1 in sorted(subset) order."""
@@ -98,13 +89,12 @@ class Graph:
         index = {v: i for i, v in enumerate(subset)}
         edges = [(index[u], index[v]) for u, v in combinations(subset, 2)
                  if self.has_edge(u, v)]
-        names = tuple(self.name(v) for v in subset) if self.names else None
-        return Graph(len(subset), edges, names)
+        return Graph(len(subset), edges)
 
     # -- value semantics ----------------------------------------------------
 
     def __eq__(self, other):
-        """Structural equality: same vertex count and adjacency (names ignored)."""
+        """Structural equality: same vertex count and adjacency."""
         if not isinstance(other, Graph):
             return NotImplemented
         return self.n == other.n and self.adj == other.adj
@@ -114,14 +104,6 @@ class Graph:
 
     def __repr__(self):
         return "Graph(n=%d, edges=%r)" % (self.n, self.edges())
-
-
-def complement(g):
-    return g.complement()
-
-
-def induced(g, subset):
-    return g.induced(subset)
 
 
 def _immutable(self, name, *value):
@@ -248,19 +230,3 @@ def is_bipartite(g):
                 return False
             level = reach & unseen
     return True
-
-
-# -- small named graphs ----------------------------------------------------
-
-def path_graph(k):
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def cycle_graph(k):
-    if k < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def complete_graph(k):
-    return Graph(k, list(combinations(range(k), 2)))

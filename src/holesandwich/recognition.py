@@ -129,6 +129,8 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
 
 def verify_certificate(g, prop, verdict, cert):
     """Re-check a (verdict, certificate) pair against the graph it came from."""
+    if prop not in PROPERTY_IDS:
+        raise ValueError("unknown property id %r" % (prop,))
     if verdict:
         if prop == "chordal":
             return cert is not None and cert.kind == "peo" and _verify_peo(g, cert.vertices)

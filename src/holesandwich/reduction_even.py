@@ -156,19 +156,22 @@ def build_even_instance(formula):
     return inst, gmap
 
 
-def chosen_edges_for_assignment(formula, assignment, gmap):
-    """The optional edges the canonical completion picks for an assignment.
+def completion_from_assignment(gmap, assignment):
+    """The optional edges of the canonical completion of an assignment.
 
     Per incidence the orientation bundle matching the assignment, then a
     clique on true shoulders, a clique on true knees, and every
     true-shoulder-knee pair (pairs that are already forced are dropped).  A
     variable with no incidence also gets its foot-true-shoulder edge, which
     breaks the four-holes (foot, knee, true shoulder, knee') its
-    shoulder-knee edges would otherwise close.
+    shoulder-knee edges would otherwise close.  The realized graph is
+    even-hole-free exactly when the assignment satisfies the formula; a
+    falsified clause leaves a four-hole on two of its active and two of its
+    inactive knees.
     """
-    if set(assignment) != set(range(1, formula.num_vars + 1)):
+    if set(assignment) != set(range(1, gmap.num_vars + 1)):
         raise ValueError("assignment must cover variables 1..%d"
-                         % formula.num_vars)
+                         % gmap.num_vars)
     edges = set()
     for i, j in gmap.incidences:
         edges.update(gmap.orientation_edges(i, j, assignment[i]))
@@ -181,22 +184,10 @@ def chosen_edges_for_assignment(formula, assignment, gmap):
     for s in true_shoulders:
         for k in gmap.knees():
             edges.add(normalized_edge(s, k))
-    used = {i for i, _ in gmap.incidences}
     for i in range(1, gmap.num_vars + 1):
-        if i not in used:
+        if not gmap.variable_incidences(i):
             edges.add(normalized_edge(gmap.foot, true_shoulders[i - 1]))
-    return edges & gmap.instance.optional
-
-
-def completion_from_assignment(formula, assignment, gmap):
-    """The canonical sandwich graph realizing an assignment.
-
-    Even-hole-free exactly when the assignment satisfies the formula; a
-    falsified clause leaves a four-hole on two of its active and two of its
-    inactive knees.
-    """
-    chosen = chosen_edges_for_assignment(formula, assignment, gmap)
-    return gmap.instance.realize(chosen)
+    return frozenset(edges & gmap.instance.optional)
 
 
 def read_orientation(gmap, g, var, clause):
@@ -418,7 +409,8 @@ def solve_with_orientations(formula, inst, gmap,
         var = len(assignment) + 1
         leaf = var > formula.num_vars
         if leaf:
-            g = completion_from_assignment(formula, assignment, gmap)
+            chosen = completion_from_assignment(gmap, assignment)
+            g = gmap.instance.realize(chosen)
             if check(g, "even-hole-free", budget=check_budget)[0]:
                 return Completion(frozenset(e for e in inst.optional
                                             if g.has_edge(*e)))

@@ -65,12 +65,10 @@ class OddGadgetMap:
         self.false_chord = {}      # var -> edge
         self.clause_cycle = {}     # clause -> (p1..p5)
         self.clause_edges = {}     # clause -> 3 optional edges
-        self.guard_vertices = {}   # (clause, q) -> (l, t, z)
         self.guard_cycle = {}      # (clause, q) -> 5 vertices
         self.release_edge = {}     # (clause, q) -> edge
         self.repeater_cycle = {}   # (clause, q, side) -> 5 vertices
         self.repeater_chords = {}  # (clause, q, side) -> (out, in)
-        self.connectors = {}       # (clause, q) -> 3 aux vertices
         self.link_cycles = {}      # (clause, q) -> 3 cycles
 
     def gadget_five_cycles(self):
@@ -150,7 +148,6 @@ def build_c5_instance(formula):
             five_cycle(guard)
             release = normalized_edge(tv, lv)
             optional.add(release)
-            gmap.guard_vertices[(j, q)] = (lv, tv, zv)
             gmap.guard_cycle[(j, q)] = guard
             gmap.release_edge[(j, q)] = release
 
@@ -166,10 +163,8 @@ def build_c5_instance(formula):
                 gmap.repeater_chords[(j, q, side)] = (outward, inward)
                 reps[side] = cyc
 
-            a1 = add_vertex("c%d.q%d.a1" % (j, q))
-            a2 = add_vertex("c%d.q%d.a2" % (j, q))
-            a3 = add_vertex("c%d.q%d.a3" % (j, q))
-            gmap.connectors[(j, q)] = (a1, a2, a3)
+            a1, a2, a3 = (add_vertex("c%d.q%d.a%d" % (j, q, k))
+                          for k in (1, 2, 3))
 
             crep, vrep = reps["clause"], reps["var"]
             xcyc = gmap.variable_cycle[i]
@@ -207,8 +202,8 @@ def build_odd_hole_free_instance(formula):
     return complement_instance(inst), gmap
 
 
-def completion_from_assignment(gmap, formula, assignment):
-    """Chosen optional edges realizing a satisfying assignment, C5-free.
+def completion_from_assignment(gmap, assignment):
+    """The optional edges of a C5-free completion of a satisfying assignment.
 
     Per variable exactly the matching chord goes in.  Per clause the first
     true literal gives up its clause edge and fires its release chain
@@ -234,7 +229,7 @@ def completion_from_assignment(gmap, formula, assignment):
                 chosen.update((gmap.release_edge[(j, q)], c_in, v_in))
             else:
                 chosen.update((gmap.clause_edges[j][q - 1], c_out, v_out))
-    return chosen
+    return frozenset(chosen)
 
 
 def extract_assignment(gmap, g):

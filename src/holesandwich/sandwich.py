@@ -68,26 +68,22 @@ class SandwichInstance:
             raise ValueError("invalid instance: " + "; ".join(errors))
         return inst
 
-    def all_pairs(self):
-        return combinations(range(self.n), 2)
-
     def name(self, v):
         """Role name of vertex v, falling back to its index."""
-        if self.names is None:
-            return str(v)
-        return self.names[v]
+        return str(v) if self.names is None else self.names[v]
 
     def forbidden(self):
         allowed = self.forced | self.optional
-        return frozenset(p for p in self.all_pairs() if p not in allowed)
+        return frozenset(p for p in combinations(range(self.n), 2)
+                         if p not in allowed)
 
     def g1(self):
         """Graph of forced edges."""
-        return Graph(self.n, self.forced, self.names)
+        return Graph(self.n, self.forced)
 
     def g2(self):
         """Graph of forced plus optional edges."""
-        return Graph(self.n, self.forced | self.optional, self.names)
+        return Graph(self.n, self.forced | self.optional)
 
     def realize(self, chosen):
         """Sandwich graph with exactly `chosen` optional edges added."""
@@ -95,7 +91,7 @@ class SandwichInstance:
         extra = chosen - self.optional
         if extra:
             raise ValueError("edges %r are not optional" % sorted(extra))
-        return Graph(self.n, self.forced | chosen, self.names)
+        return Graph(self.n, self.forced | chosen)
 
 
 def validate(inst):
@@ -134,12 +130,9 @@ def complement_instance(inst):
 
 
 class Completion(namedtuple("Completion", "chosen")):
-    """The optional edges chosen by a successful solve."""
+    """The optional edges chosen by a successful solve, for inst.realize."""
 
     __slots__ = ()
-
-    def realize(self, inst):
-        return inst.realize(self.chosen)
 
 
 class SolveResult(namedtuple("SolveResult", "verdict completion nodes frontier",
@@ -202,7 +195,7 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
 
     def expand(decided):
         chosen = [e for e in optional if decided.get(e)]
-        g = Graph(inst.n, list(inst.forced) + chosen, inst.names)
+        g = Graph(inst.n, list(inst.forced) + chosen)
         violation = first_violation(g, prop, check_budget)
         if violation is None:
             return Completion(frozenset(chosen))

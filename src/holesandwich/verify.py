@@ -12,7 +12,8 @@ test.  All randomness is seeded and the seed is reported in each result.
 
 This module is also the home of everything only these checks and the tests
 call: reference searches over graphs (`chordless_cycles`, `triangles`,
-`find_subgraph`, `find_induced_path`), the reference solver
+`find_subgraph`, `find_induced_path`), the small graphs they are tried on
+(`path_graph`, `cycle_graph`, `complete_graph`), the reference solver
 `brute_force_solve`, and the five-cycle reduction's invariant checks
 (`structural_report`, `five_cycle_census`).  No CLI command but `verify`
 imports this module, so the others never compile that code at start-up.
@@ -175,6 +176,20 @@ def find_induced_path(g, k):
     return None
 
 
+def path_graph(k):
+    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def cycle_graph(k):
+    if k < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def complete_graph(k):
+    return Graph(k, list(combinations(range(k), 2)))
+
+
 def gem_graph():
     """A four-vertex path plus one vertex adjacent to all of it.
 
@@ -222,7 +237,7 @@ def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
             adj[v] |= 1 << u
             chosen.append((u, v))
             rest ^= low
-        g = Graph._from_masks(inst.n, adj, inst.names)
+        g = Graph._from_masks(inst.n, adj)
         ok, _ = check(g, prop, check_budget)
         if ok:
             return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
@@ -593,10 +608,11 @@ def even_forward_direction(seed=DEFAULT_SEED):
         formula = CnfFormula(3, (clause,))
         inst, gmap = build_even_instance(formula)
         active, inactive = gmap.clause_knees(1)
+        knees = sorted(active) + sorted(inactive)
         for bits in product((False, True), repeat=3):
             cases += 1
             assignment = {1: bits[0], 2: bits[1], 3: bits[2]}
-            g = completion_from_assignment(formula, assignment, gmap)
+            g = inst.realize(completion_from_assignment(gmap, assignment))
             ok, cert = check(g, "even-hole-free")
             satisfied = formula.satisfied_by(assignment)
             if ok != satisfied:
@@ -605,7 +621,8 @@ def even_forward_direction(seed=DEFAULT_SEED):
                 continue
             if satisfied:
                 continue
-            hole = _knee_four_hole(g, active, inactive)
+            hole = next((subset for subset in combinations(knees, 4)
+                         if _subset_is_hole(g.adj, subset)), None)
             if hole is None:
                 failures.append("%s %s: no knee four-hole" % (clause, bits))
             elif not (len(set(hole) & set(active)) == 2
@@ -615,17 +632,6 @@ def even_forward_direction(seed=DEFAULT_SEED):
     if failures:
         detail += " (first: %s)" % failures[0]
     return CriterionResult(6, "even-forward-direction", not failures, detail)
-
-
-def _knee_four_hole(g, active, inactive):
-    knees = sorted(active) + sorted(inactive)
-    for subset in combinations(knees, 4):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        if all((g.adj[v] & mask).bit_count() == 2 for v in subset):
-            return subset
-    return None
 
 
 def even_propagation_chain(seed=DEFAULT_SEED):

@@ -202,6 +202,18 @@ def test_usage_errors_exit_two(workdir, capsys):
             run(command, workdir / "bad.inst", "--property", prop,
                 "--budget", "-1")
         assert info.value.code == 2
+    # int() would take these three, but no text format does.
+    for spelling in ("1_0", "+3", "\u0661"):
+        for argv in (("solve", workdir / "bad.inst", "--property", "chordal",
+                      "--budget", spelling),
+                     ("check", workdir / "bad.inst", "--property", "chordal",
+                      "--budget", spelling),
+                     ("verify", "--suite", "even-instance-census",
+                      "--seed", spelling)):
+            with pytest.raises(SystemExit) as info:
+                run(*argv)
+            assert info.value.code == 2
+    capsys.readouterr()
     # A superscript two passes str.isdigit() but not int(); a Latin-1 byte is
     # not UTF-8.  Both are parse errors, not tracebacks.
     (workdir / "ok.inst").write_text("sandwich 3\no 0 1\n")
@@ -361,7 +373,8 @@ def test_cli_import_footprint():
     # bytecode files each module is compiled from source, so the
     # verification layer lives in verify, off the start-up path.
     verify_only = ("structural_report", "brute_force_solve", "find_subgraph",
-                   "chordless_cycles")
+                   "chordless_cycles", "path_graph", "cycle_graph",
+                   "complete_graph")
     loaded = fresh_imports("holesandwich.cli", then=(
         "print(*(m + '.' + name for m in %r for name in %r "
         "if hasattr(sys.modules[m], name)))" % (STARTUP_MODULES, verify_only)))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from holesandwich import recognition
 from holesandwich.budget import BudgetExhausted
-from holesandwich.graph import (Graph, complement, complete_graph,
-                                cycle_graph, path_graph)
+from holesandwich.graph import Graph
 from holesandwich.recognition import (PROPERTY_IDS, check, first_violation,
                                       is_chordal, verify_certificate)
-from holesandwich.verify import chordless_cycles
+from holesandwich.verify import (chordless_cycles, complete_graph,
+                                 cycle_graph, path_graph)
 
 from oracles import petersen_edges, property_oracle
 
@@ -42,10 +42,10 @@ def test_complete_graphs_are_chordal_with_peo():
 
 def test_positive_orientation_triangulates_the_six_cycle():
     # Six-cycle H, S_X, K_!X, F, K_X, S_!X plus the positive-orientation
-    # edges H-K_X, K_X-S_X, S_X-F; the three chords leave no hole.
-    names = ("H", "S_X", "K_!X", "F", "K_X", "S_!X")
+    # edges H-K_X, K_X-S_X, S_X-F (vertices 0..5 in that order); the three
+    # chords leave no hole.
     ring = [(i, (i + 1) % 6) for i in range(6)]
-    g = Graph(6, ring + [(0, 4), (4, 1), (1, 3)], names=names)
+    g = Graph(6, ring + [(0, 4), (4, 1), (1, 3)])
     ok, cert = is_chordal(g)
     assert ok
     assert verify_certificate(g, "chordal", ok, cert)
@@ -94,7 +94,7 @@ def test_five_cycle_violates_both_self_complementary_properties():
 
 
 def test_seven_antihole_caught_only_by_antihole_properties():
-    g = complement(cycle_graph(7))
+    g = cycle_graph(7).complement()
     assert check(g, "odd-hole-free")[0]
     ok, cert = check(g, "odd-antihole-free")
     assert not ok and cert.kind == "antihole" and len(cert.vertices) == 7
@@ -156,7 +156,7 @@ def test_chordal_implies_hole_free_properties(g):
 @given(small_graphs())
 def test_antihole_freeness_is_complement_hole_freeness(g):
     assert check(g, "odd-antihole-free")[0] == \
-        check(complement(g), "odd-hole-free")[0]
+        check(g.complement(), "odd-hole-free")[0]
 
 
 @given(small_graphs())
@@ -200,7 +200,7 @@ def test_c5_path_search_above_the_scan_threshold():
 # -- budget -------------------------------------------------------------------
 
 def test_tiny_budget_exhausts():
-    g = complement(Graph(24, [(i, (i + 1) % 24) for i in range(24)]))
+    g = Graph(24, [(i, (i + 1) % 24) for i in range(24)]).complement()
     with pytest.raises(BudgetExhausted):
         check(g, "even-hole-free", budget=1)
 
@@ -208,3 +208,5 @@ def test_tiny_budget_exhausts():
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
         check(cycle_graph(4), "planar")
+    with pytest.raises(ValueError):
+        verify_certificate(cycle_graph(4), "bogus", True, None)

@@ -12,7 +12,6 @@ from holesandwich.recognition import check, is_chordal
 from holesandwich.reduction_even import (IncompleteOrientationError,
                                          MixedOrientationError,
                                          build_even_instance,
-                                         chosen_edges_for_assignment,
                                          completion_from_assignment,
                                          extract_assignment,
                                          propagate_orientations,
@@ -93,9 +92,9 @@ def test_orientation_edges_disjoint_and_optional():
 def test_completion_even_hole_free_iff_satisfying(bits):
     inst, gmap = build(MIXED)
     assignment = dict(zip((1, 2, 3), bits))
-    chosen = chosen_edges_for_assignment(MIXED, assignment, gmap)
-    assert chosen <= inst.optional
-    g = completion_from_assignment(MIXED, assignment, gmap)
+    chosen = completion_from_assignment(gmap, assignment)
+    assert isinstance(chosen, frozenset) and chosen <= inst.optional
+    g = inst.realize(chosen)
     assert is_sandwich_graph(inst, g)
     assert check(g, "even-hole-free")[0] == MIXED.satisfied_by(assignment)
 
@@ -108,14 +107,14 @@ def test_completion_minus_w_chordal_iff_satisfying(clause):
     inst, gmap = build_even_instance(f)
     keep = [v for v in range(inst.n) if v not in (gmap.w1, gmap.w2)]
     for assignment in all_assignments(3):
-        g = completion_from_assignment(f, assignment, gmap)
+        g = inst.realize(completion_from_assignment(gmap, assignment))
         assert is_chordal(g.induced(keep))[0] == f.satisfied_by(assignment)
 
 
 def test_completion_orientations_read_back():
     inst, gmap = build(MIXED)
     assignment = {1: True, 2: True, 3: False}
-    g = completion_from_assignment(MIXED, assignment, gmap)
+    g = inst.realize(completion_from_assignment(gmap, assignment))
     assert read_orientation(gmap, g, 1, 1) == "positive"
     assert read_orientation(gmap, g, 2, 1) == "positive"
     assert read_orientation(gmap, g, 3, 1) == "negative"
@@ -127,11 +126,11 @@ def test_extraction_covers_unused_variables():
     inst, gmap = build_even_instance(f)
     for flag in (False, True):
         assignment = {1: True, 2: False, 3: False, 4: flag}
-        g = completion_from_assignment(f, assignment, gmap)
+        g = inst.realize(completion_from_assignment(gmap, assignment))
         assert extract_assignment(gmap, g) == assignment
     for assignment in all_assignments(f.num_vars):
         if f.satisfied_by(assignment):
-            g = completion_from_assignment(f, assignment, gmap)
+            g = inst.realize(completion_from_assignment(gmap, assignment))
             assert check(g, "even-hole-free")[0], assignment
     result = solve_with_orientations(f, inst, gmap, budget=None)
     assert result.verdict == "SAT"
@@ -141,7 +140,7 @@ def test_extraction_covers_unused_variables():
 def test_extraction_rejects_mixed_and_missing_orientations():
     inst, gmap = build()
     assignment = {1: True, 2: False, 3: True}
-    chosen = chosen_edges_for_assignment(XYZ, assignment, gmap)
+    chosen = completion_from_assignment(gmap, assignment)
     both = chosen | set(gmap.orientation_edges(1, 1, False))
     with pytest.raises(MixedOrientationError) as info:
         extract_assignment(gmap, inst.realize(both))
@@ -262,7 +261,7 @@ def test_orientation_solver_finds_the_first_satisfying_assignment():
         result = solve_with_orientations(formula, inst, gmap)
         assert result.verdict == "SAT"
         assert result.completion.chosen == \
-            chosen_edges_for_assignment(formula, first, gmap), formula
+            completion_from_assignment(gmap, first), formula
 
 
 def test_orientation_leaves_skip_propagation(monkeypatch):
@@ -282,7 +281,7 @@ def test_broken_construction_raises_at_a_satisfying_leaf(monkeypatch):
     # The forced graph keeps every incidence six-cycle, an even hole.
     inst, gmap = build()
     monkeypatch.setattr(reduction_even, "completion_from_assignment",
-                        lambda formula, assignment, gmap: gmap.instance.g1())
+                        lambda gmap, assignment: frozenset())
     with pytest.raises(AssertionError, match="satisfying assignment"):
         solve_with_orientations(XYZ, inst, gmap)
 
@@ -293,7 +292,7 @@ def test_unrefuted_failing_leaf_raises(monkeypatch):
     # exhaustive, so such a leaf means the construction is broken.
     inst, gmap = build()
     monkeypatch.setattr(reduction_even, "completion_from_assignment",
-                        lambda formula, assignment, gmap: gmap.instance.g1())
+                        lambda gmap, assignment: frozenset())
     monkeypatch.setattr(CnfFormula, "satisfied_by",
                         lambda self, assignment: False)
     with pytest.raises(AssertionError, match="does not refute"):

@@ -131,7 +131,7 @@ def test_satisfying_completions_are_c5_free():
     for assignment in all_assignments(3):
         if not XYZ.satisfied_by(assignment):
             continue
-        chosen = completion_from_assignment(gmap, XYZ, assignment)
+        chosen = completion_from_assignment(gmap, assignment)
         g = inst.realize(chosen)
         assert is_sandwich_graph(inst, g)
         ok, cert = check(g, "c5-free")
@@ -142,7 +142,7 @@ def test_satisfying_completions_are_c5_free():
 def test_falsifying_assignment_is_rejected():
     inst, gmap = build_c5_instance(XYZ)
     with pytest.raises(GadgetError, match="clause 1"):
-        completion_from_assignment(gmap, XYZ, {1: False, 2: True, 3: False})
+        completion_from_assignment(gmap, {1: False, 2: True, 3: False})
 
 
 def test_empty_completion_leaves_induced_five_cycles():
@@ -157,7 +157,7 @@ def test_empty_completion_leaves_induced_five_cycles():
 
 def test_extraction_prefers_true_chord():
     inst, gmap = build_c5_instance(XYZ)
-    chosen = completion_from_assignment(gmap, XYZ, {1: True, 2: False, 3: True})
+    chosen = completion_from_assignment(gmap, {1: True, 2: False, 3: True})
     both = set(chosen) | {gmap.false_chord[1]}
     assignment = extract_assignment(gmap, inst.realize(both))
     assert assignment[1] is True
@@ -178,7 +178,7 @@ def test_c5_freeness_equals_odd_antihole_freeness_on_realizations():
     coincide, which is what lets one instance serve both."""
     inst, gmap = build_c5_instance(XYZ)
     satisfying = [a for a in all_assignments(3) if XYZ.satisfied_by(a)]
-    graphs = [inst.realize(completion_from_assignment(gmap, XYZ, a))
+    graphs = [inst.realize(completion_from_assignment(gmap, a))
               for a in satisfying[:3]]
     graphs.append(inst.realize(frozenset()))
     graphs.append(inst.realize(inst.optional))

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holesandwich.graph import Graph, cycle_graph
+from holesandwich.graph import Graph
 from holesandwich.recognition import check
 from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, Completion,
                                    SandwichInstance, complement_instance,
                                    depth_first, solve, validate)
-from holesandwich.verify import brute_force_solve, is_sandwich_graph
+from holesandwich.verify import (brute_force_solve, cycle_graph,
+                                 is_sandwich_graph)
 
 from oracles import sandwich_oracle
 
@@ -149,7 +150,7 @@ def test_forced_only_satisfaction_is_sat():
     inst = SandwichInstance.build(5, {(0, 1), (1, 2)}, {(3, 4), (2, 3)})
     result = solve(inst, "chordal")
     assert result.verdict == "SAT"
-    g = result.completion.realize(inst)
+    g = inst.realize(result.completion.chosen)
     assert check(g, "chordal")[0]
 
 
@@ -178,7 +179,7 @@ def test_budget_verdict():
     assert solve(inst, "chordal", budget=1).verdict == "BUDGET"
     unlimited = solve(inst, "chordal", budget=None, check_budget=None)
     assert unlimited.verdict == "SAT"
-    assert check(unlimited.completion.realize(inst), "chordal")[0]
+    assert check(inst.realize(unlimited.completion.chosen), "chordal")[0]
 
 
 def test_depth_first_order_nodes_and_frontier():
@@ -216,7 +217,7 @@ def test_deep_search_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.verdict, result.nodes) == ("SAT", k + 1)
-    assert check(result.completion.realize(inst), "even-hole-free")[0]
+    assert check(inst.realize(result.completion.chosen), "even-hole-free")[0]
 
 
 @given(instances(max_n=6, max_optional=8),
