@@ -28,7 +28,7 @@ _HOME = {name: module for module, names in (
     ("reduction_odd", "GadgetError OddGadgetMap build_c5_instance "
                       "build_odd_hole_free_instance"),
     ("sandwich", "SOLVABLE_PROPERTY_IDS Completion SandwichInstance "
-                 "SolveResult complement_instance solve validate"),
+                 "SolveResult complement_instance solve"),
     ("verify", "SUITES CriterionResult brute_force_solve chordless_cycles "
                "contains_subgraph find_induced_path find_subgraph "
                "five_cycle_census is_sandwich_graph run_suite "

@@ -7,15 +7,7 @@ instead of an open-ended hang.
 
 
 class BudgetExhausted(Exception):
-    """Raised when a search exceeds its step budget.
-
-    `partial` carries whatever results were collected before the limit hit,
-    so callers can still report progress.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when a search exceeds its step budget."""
 
 
 class Budget:

@@ -106,11 +106,6 @@ class Graph:
         return "Graph(n=%d, edges=%r)" % (self.n, self.edges())
 
 
-def _immutable(self, name, *value):
-    """__setattr__ and __delattr__ of the immutable value classes."""
-    raise AttributeError("%s is immutable" % type(self).__name__)
-
-
 class Cycle:
     """A cycle stored in canonical vertex order.
 
@@ -120,10 +115,14 @@ class Cycle:
     """
 
     __slots__ = ("vertices",)
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, vertices):
         object.__setattr__(self, "vertices", canonical_rotation(vertices))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("Cycle is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         return other.__class__ is Cycle and self.vertices == other.vertices
@@ -146,11 +145,11 @@ class Cycle:
         return len(self.vertices) % 2 == 1
 
     def is_chordless_in(self, g):
-        """True when this cycle is induced (consecutive pairs adjacent, all
-        other pairs non-adjacent) in `g`."""
+        """True when this cycle is an induced cycle of `g`: its vertices are
+        g's, consecutive pairs adjacent, all other pairs non-adjacent."""
         vs = self.vertices
         k = len(vs)
-        if k < 3 or len(set(vs)) != k:
+        if k < 3 or len(set(vs)) != k or not 0 <= min(vs) <= max(vs) < g.n:
             return False
         for i, u in enumerate(vs):
             if not g.has_edge(u, vs[(i + 1) % k]):

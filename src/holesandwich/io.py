@@ -76,7 +76,7 @@ def parse_instance(text):
                 "vertex names must cover all of 0..%d or none" % (n - 1))
         name_tuple = tuple(names[v] for v in range(n))
     try:
-        return SandwichInstance.build(n, forced, optional, name_tuple)
+        return SandwichInstance(n, forced, optional, name_tuple)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
 
@@ -94,12 +94,11 @@ def format_instance(inst):
     return "\n".join(lines) + "\n"
 
 
-def parse_completion(text, inst=None):
+def parse_completion(text, inst):
     """Parse `completion [<count>]` + `e <u> <v>` lines into a frozenset.
 
-    Vertex ids are non-negative.  With an instance, edges must be among its
-    optional set; a count in the header, when present, must match the
-    number of edges.
+    Edges must be among the optional edges of `inst`; a count in the
+    header, when present, must match the number of edges.
     """
     chosen = []
     expected = None
@@ -123,13 +122,8 @@ def parse_completion(text, inst=None):
         if parts[0] != "e" or len(parts) != 3:
             raise InstanceFormatError(
                 "line %d: completion lines are 'e <u> <v>'" % lineno)
-        u, v = parse_int(parts[1]), parse_int(parts[2])
-        if u is None or v is None:
-            raise InstanceFormatError(
-                "line %d: vertex ids must be integers" % lineno)
-        if u < 0 or v < 0:
-            raise InstanceFormatError(
-                "line %d: vertex ids must be non-negative" % lineno)
+        u = _vertex(parts[1], inst.n, lineno)
+        v = _vertex(parts[2], inst.n, lineno)
         if u == v:
             raise InstanceFormatError(
                 "line %d: self-loop on vertex %d" % (lineno, u))
@@ -142,14 +136,10 @@ def parse_completion(text, inst=None):
     if expected is not None and expected != len(result):
         raise InstanceFormatError(
             "header promises %d edges, found %d" % (expected, len(result)))
-    if inst is not None:
-        bad = sorted(e for e in result if e[1] >= inst.n)
-        if bad:
-            raise InstanceFormatError("edge vertices out of range: %s" % bad)
-        stray = result - inst.optional
-        if stray:
-            raise InstanceFormatError(
-                "edges not optional in the instance: %s" % sorted(stray))
+    stray = result - inst.optional
+    if stray:
+        raise InstanceFormatError(
+            "edges not optional in the instance: %s" % sorted(stray))
     return result
 
 

@@ -151,7 +151,7 @@ def build_even_instance(formula):
 
     optional = set(itertools.combinations(range(n), 2)) - forced - forbidden
 
-    inst = SandwichInstance.build(n, forced, optional, names)
+    inst = SandwichInstance(n, forced, optional, names)
     gmap.instance = inst
     return inst, gmap
 
@@ -251,15 +251,14 @@ def extract_assignment(gmap, g):
 
 
 class PropagationResult(namedtuple("PropagationResult",
-                                   "status forced pending certificate",
+                                   "status forced certificate",
                                    defaults=(None,))):
     """Outcome of orientation propagation.
 
     status is "ok" or "contradiction"; forced maps optional edges to the
-    decisions derived beyond the input ones; pending lists the unresolved
-    at-least-one constraints (head-knee edge, foot-shoulder edge); on
-    contradiction, certificate is an even hole (in cycle order) induced in
-    the graph of forced plus decided-in edges.
+    decisions derived beyond the input ones; on contradiction, certificate
+    is an even hole (in cycle order) induced in the graph of forced plus
+    decided-in edges.
     """
 
     __slots__ = ()
@@ -317,7 +316,6 @@ def propagate_orientations(inst, gmap, decided):
     while True:
         batch = {}
         contradictions = []
-        pending = []
 
         def force(u, v, val):
             if state[u * n + v] != UND:
@@ -371,18 +369,13 @@ def propagate_orientations(inst, gmap, decided):
                     force(foot, s, True)
                 elif fs == OUT:
                     force(head, k, True)
-                else:
-                    pending.append((normalized_edge(head, k),
-                                    normalized_edge(foot, s)))
 
         if contradictions:
             cert = min(contradictions,
                        key=lambda c: (len(c.vertices), tuple(sorted(c.vertices))))
-            return PropagationResult("contradiction", forced_log,
-                                     tuple(sorted(set(pending))), cert)
+            return PropagationResult("contradiction", forced_log, cert)
         if not batch:
-            return PropagationResult("ok", forced_log,
-                                     tuple(sorted(set(pending))))
+            return PropagationResult("ok", forced_log)
         for e, val in batch.items():
             put(*e, IN if val else OUT)
             forced_log[e] = val

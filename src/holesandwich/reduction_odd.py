@@ -183,7 +183,7 @@ def build_c5_instance(formula):
                 forced.add(normalized_edge(cyc[4], cyc[0]))
             gmap.link_cycles[(j, q)] = (link1, link2, link3)
 
-    inst = SandwichInstance.build(len(names), forced, optional, names)
+    inst = SandwichInstance(len(names), forced, optional, names)
     return inst, gmap
 
 

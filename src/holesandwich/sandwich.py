@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .budget import Budget, BudgetExhausted
-from .graph import Graph, _immutable
+from .graph import Graph
 # No code here calls `check`; the benchmark's tracing test reads
 # sandwich.check to see that instrumentation restores every binding.
 from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
@@ -32,41 +32,40 @@ def normalized_edge(u, v):
     return (u, v) if u < v else (v, u)
 
 
-class SandwichInstance:
-    """Vertex count, forced edges, optional edges; forbidden pairs implicit."""
+class SandwichInstance(namedtuple("SandwichInstance",
+                                  "n forced optional names")):
+    """Vertex count, forced edges, optional edges; forbidden pairs implicit.
 
-    __slots__ = ("n", "forced", "optional", "names")
-    __setattr__ = __delattr__ = _immutable
+    Pairs are stored as frozensets of (u, v) with u < v, names as a tuple
+    or None.  Construction checks the input once: one ValueError lists
+    every loop, out-of-range pair, forced-optional overlap and bad name.
+    """
 
-    def __init__(self, n, forced, optional, names=None):
-        for field, value in zip(self.__slots__, (n, forced, optional, names)):
-            object.__setattr__(self, field, value)
+    __slots__ = ()
 
-    def __reduce__(self):
-        return SandwichInstance, (self.n, self.forced, self.optional, self.names)
-
-    def __eq__(self, other):
-        return (other.__class__ is SandwichInstance
-                and self.__reduce__() == other.__reduce__())
-
-    def __hash__(self):
-        return hash(self.__reduce__())
-
-    def __repr__(self):
-        return "SandwichInstance%r" % (self.__reduce__()[1],)
-
-    @staticmethod
-    def build(n, forced, optional, names=None):
-        inst = SandwichInstance(
-            n,
-            frozenset(normalized_edge(u, v) for u, v in forced),
-            frozenset(normalized_edge(u, v) for u, v in optional),
-            tuple(names) if names is not None else None,
-        )
-        errors = validate(inst)
+    def __new__(cls, n, forced, optional, names=None):
+        forced = frozenset((u, v) if u < v else (v, u) for u, v in forced)
+        optional = frozenset((u, v) if u < v else (v, u) for u, v in optional)
+        names = None if names is None else tuple(names)
+        errors = []
+        for label, edges in (("forced", forced), ("optional", optional)):
+            for u, v in sorted(e for e in edges if not 0 <= e[0] < e[1] < n):
+                errors.append("%s edge %r %s" % (
+                    label, (u, v), "is a loop" if u == v else "out of range"))
+        overlap = forced & optional
+        if overlap:
+            errors.append("forced and optional overlap on %r" % sorted(overlap))
+        if names is not None and len(names) != n:
+            errors.append("names table has %d entries for %d vertices"
+                          % (len(names), n))
+        # A name is one token of the `v <id> <role>` line io writes.
+        for v, name in enumerate(names or ()):
+            if not isinstance(name, str) or name.split() != [name]:
+                errors.append("name %r of vertex %d is not one non-empty "
+                              "word" % (name, v))
         if errors:
             raise ValueError("invalid instance: " + "; ".join(errors))
-        return inst
+        return super().__new__(cls, n, forced, optional, names)
 
     def name(self, v):
         """Role name of vertex v, falling back to its index."""
@@ -94,39 +93,11 @@ class SandwichInstance:
         return Graph(self.n, self.forced | chosen)
 
 
-def validate(inst):
-    """Structural error list for an instance; empty means well-formed."""
-    errors = []
-    for label, edges in (("forced", inst.forced), ("optional", inst.optional)):
-        for e in edges:
-            if not (isinstance(e, tuple) and len(e) == 2):
-                errors.append("%s entry %r is not a pair" % (label, e))
-                continue
-            u, v = e
-            if not (0 <= u < inst.n and 0 <= v < inst.n):
-                errors.append("%s edge %r out of range" % (label, e))
-            elif u == v:
-                errors.append("%s edge %r is a loop" % (label, e))
-            elif u > v:
-                errors.append("%s edge %r is not normalized" % (label, e))
-    overlap = inst.forced & inst.optional
-    if overlap:
-        errors.append("forced and optional overlap on %r" % sorted(overlap))
-    if inst.names is not None:
-        if len(inst.names) != inst.n:
-            errors.append("names table has %d entries for %d vertices"
-                          % (len(inst.names), inst.n))
-        # A name is one token of the `v <id> <role>` line io writes.
-        for v, name in enumerate(inst.names):
-            if not isinstance(name, str) or name.split() != [name]:
-                errors.append("name %r of vertex %d is not one non-empty "
-                              "word" % (name, v))
-    return errors
-
-
 def complement_instance(inst):
-    """Swap forced and forbidden; optional edges stay optional."""
-    return SandwichInstance(inst.n, inst.forbidden(), inst.optional, inst.names)
+    """Swap forced and forbidden; optional edges stay optional.  The
+    complement of a checked instance is well-formed: no second check."""
+    return SandwichInstance._make(
+        (inst.n, inst.forbidden(), inst.optional, inst.names))
 
 
 class Completion(namedtuple("Completion", "chosen")):
@@ -187,14 +158,16 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
     """
     if prop not in SOLVABLE_PROPERTY_IDS:
         raise ValueError("solve does not support property %r" % (prop,))
-    errors = validate(inst)
-    if errors:
-        raise ValueError("invalid instance: " + "; ".join(errors))
 
-    optional = sorted(inst.optional)
-
-    def expand(decided):
-        chosen = [e for e in optional if decided.get(e)]
+    # A state is its last decision and its parent state, (edge, value,
+    # parent), with None the root: siblings share their ancestors' decisions.
+    def expand(state):
+        decided = {}
+        link = state
+        while link is not None:
+            e, value, link = link
+            decided[e] = value
+        chosen = [e for e, value in decided.items() if value]
         g = Graph(inst.n, list(inst.forced) + chosen)
         violation = first_violation(g, prop, check_budget)
         if violation is None:
@@ -202,7 +175,7 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
         for e in combinations(sorted(violation.vertices), 2):
             if (not g.has_edge(*e) and e in inst.optional
                     and e not in decided):
-                return [{**decided, e: True}, {**decided, e: False}]
+                return [(e, True, state), (e, False, state)]
         return []
 
-    return depth_first({}, expand, budget)
+    return depth_first(None, expand, budget)

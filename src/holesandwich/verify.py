@@ -23,7 +23,7 @@ import random
 from collections import namedtuple
 from itertools import combinations, product
 
-from .budget import Budget, BudgetExhausted
+from .budget import Budget
 from .cnf import CnfFormula
 from .graph import Cycle, Graph, _bits, iter_chordless_cycles
 from .recognition import DEFAULT_CHECK_BUDGET, check
@@ -50,17 +50,11 @@ class CriterionResult(namedtuple("CriterionResult",
 def chordless_cycles(g, min_len=4, budget=None):
     """All chordless cycles of length >= min_len, canonical and deduplicated.
 
-    `budget` is a step count (int) or None for unlimited.  On exhaustion a
-    BudgetExhausted carrying the cycles found so far is raised.
+    `budget` is a step count (int) or None for unlimited; exhaustion raises
+    BudgetExhausted.
     """
-    tracker = Budget(budget)
-    found = []
-    try:
-        for cyc in iter_chordless_cycles(g, min_len, tracker):
-            found.append(cyc)
-    except BudgetExhausted as exc:
-        raise BudgetExhausted(str(exc), partial=found) from None
-    return sorted(found, key=lambda c: (c.length, c.vertices))
+    return sorted(iter_chordless_cycles(g, min_len, Budget(budget)),
+                  key=lambda c: (c.length, c.vertices))
 
 
 def triangles(g):
@@ -461,7 +455,7 @@ def _random_instance(rng, max_n, max_optional):
                        for p in combinations(ring, 2)} - ring_pairs
         forced = (forced - chord_pairs) | ring_pairs
         optional = optional - ring_pairs - chord_pairs
-    inst = SandwichInstance.build(n, forced, optional)
+    inst = SandwichInstance(n, forced, optional)
     if rng.random() < 0.5:
         inst = complement_instance(inst)
     return inst

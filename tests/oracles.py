@@ -152,14 +152,13 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
     * every present knee-shoulder pair (k, s), knees and shoulders in
       ascending order: with head-k and foot-s both absent the six-hole
       (head, w1, w2, foot, k, s) is a contradiction; with one absent and
-      the other undecided the other is derived in; with both undecided the
-      pair (head-k, foot-s) is pending.
+      the other undecided the other is derived in.
 
     A pair derived both ways in one round is derived in.  A round with a
     contradiction ends the closure, reporting the smallest contradiction by
     (length, sorted vertices); a round deriving nothing ends it as "ok".
     Returns (status, derived (edge, value) pairs in derivation order,
-    sorted pending pairs, canonical certificate or None).
+    canonical certificate or None).
     """
     def key(u, v):
         return (u, v) if u < v else (v, u)
@@ -173,7 +172,6 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
     while True:
         batch = {}
         found = []
-        pending = set()
 
         def derive(e, val):
             batch[e] = val or batch.get(e, False)
@@ -210,15 +208,13 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
                     derive(fs, True)
                 elif fs in absent:
                     derive(hk, True)
-                else:
-                    pending.add((hk, fs))
 
         if found:
             cert = min(found, key=lambda c: (len(c), sorted(c)))
             return ("contradiction", list(derived.items()),
-                    tuple(sorted(pending)), canonical_cycle(cert))
+                    canonical_cycle(cert))
         if not batch:
-            return "ok", list(derived.items()), tuple(sorted(pending)), None
+            return "ok", list(derived.items()), None
         for e, val in batch.items():
             (present if val else absent).add(e)
             derived[e] = val

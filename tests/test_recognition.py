@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from holesandwich import recognition
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import Graph
-from holesandwich.recognition import (PROPERTY_IDS, check, first_violation,
-                                      is_chordal, verify_certificate)
+from holesandwich.recognition import (PROPERTY_IDS, Certificate, check,
+                                      first_violation, is_chordal,
+                                      verify_certificate)
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, path_graph)
 
@@ -91,6 +92,9 @@ def test_five_cycle_violates_both_self_complementary_properties():
         ok, cert = check(g, prop)
         assert not ok
         assert verify_certificate(g, prop, ok, cert)
+    # A certificate naming a vertex outside the graph is false, not an error.
+    assert not verify_certificate(g, "c5-free", False,
+                                  Certificate("hole", (0, 1, 2, 3, -1)))
 
 
 def test_seven_antihole_caught_only_by_antihole_properties():

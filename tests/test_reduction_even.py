@@ -17,8 +17,7 @@ from holesandwich.reduction_even import (IncompleteOrientationError,
                                          propagate_orientations,
                                          read_orientation,
                                          solve_with_orientations)
-from holesandwich.sandwich import (SandwichInstance, normalized_edge, solve,
-                                   validate)
+from holesandwich.sandwich import SandwichInstance, normalized_edge, solve
 from holesandwich.verify import is_sandwich_graph
 
 from oracles import propagation_oracle
@@ -38,7 +37,6 @@ def test_single_clause_counts_frozen():
     inst, gmap = build()
     assert (inst.n, len(inst.forced), len(inst.forbidden()),
             len(inst.optional)) == (16, 27, 33, 60)
-    assert validate(inst) == []
     assert [inst.name(v) for v in range(10)] == [
         "H", "F", "W1", "W2", "S_x1", "S_!x1", "S_x2", "S_!x2", "S_x3",
         "S_!x3"]
@@ -157,7 +155,6 @@ def test_propagation_with_no_decisions_is_open():
     result = propagate_orientations(inst, gmap, {})
     assert result.status == "ok"
     assert result.forced == {}
-    assert len(result.pending) == 6  # one OR per forced knee-shoulder edge
 
 
 def test_head_knee_decision_forces_the_positive_bundle():
@@ -216,12 +213,11 @@ def test_propagation_matches_reference(formula, trials):
                 for e in gmap.orientation_edges(i, j, rng.random() < 0.5):
                     decided[e] = True
         result = propagate_orientations(inst, gmap, decided)
-        status, derived, pending, certificate = propagation_oracle(
+        status, derived, certificate = propagation_oracle(
             inst.n, inst.forced, inst.optional, decided, gmap.head,
             gmap.foot, gmap.w1, gmap.w2, gmap.knees(), gmap.shoulders())
         assert result.status == status
         assert list(result.forced.items()) == derived
-        assert result.pending == pending
         assert (result.certificate and result.certificate.vertices) == \
             certificate
         statuses.add((status, bool(derived)))
@@ -315,7 +311,7 @@ def test_forced_falsifying_orientations_are_unsat(monkeypatch):
         for j in gmap.variable_incidences(var):
             negative.update(gmap.orientation_edges(var, j, positive=False))
     assert len(negative) == 9
-    committed = SandwichInstance.build(
+    committed = SandwichInstance(
         inst.n, frozenset(inst.forced) | negative,
         frozenset(inst.optional) - negative, inst.names)
 
@@ -345,8 +341,8 @@ def commit_bundles(inst, gmap, commit):
     bundles = {e for var, positive in commit.items()
                for j in gmap.variable_incidences(var)
                for e in gmap.orientation_edges(var, j, positive)}
-    return SandwichInstance.build(inst.n, inst.forced | bundles,
-                                  inst.optional - bundles, inst.names)
+    return SandwichInstance(inst.n, inst.forced | bundles,
+                            inst.optional - bundles, inst.names)
 
 
 def test_descent_refutes_below_the_root(monkeypatch):

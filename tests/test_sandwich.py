@@ -3,6 +3,7 @@
 import inspect
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,7 @@ from holesandwich.graph import Graph
 from holesandwich.recognition import check
 from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, Completion,
                                    SandwichInstance, complement_instance,
-                                   depth_first, solve, validate)
+                                   depth_first, solve)
 from holesandwich.verify import (brute_force_solve, cycle_graph,
                                  is_sandwich_graph)
 
@@ -31,7 +32,7 @@ def instances(max_n=7, max_optional=10):
         cut = rng.randint(0, min(max_optional, len(pairs)))
         optional = set(pairs[:cut])
         forced = {p for p in pairs[cut:] if rng.random() < 0.4}
-        return SandwichInstance.build(n, forced, optional)
+        return SandwichInstance(n, forced, optional)
     return st.builds(build, st.integers(2, max_n), st.integers(0, 10 ** 9))
 
 
@@ -39,54 +40,48 @@ def instances(max_n=7, max_optional=10):
 
 def test_build_rejects_overlap_and_range():
     with pytest.raises(ValueError):
-        SandwichInstance.build(3, {(0, 1)}, {(0, 1)})
+        SandwichInstance(3, {(0, 1)}, {(0, 1)})
     with pytest.raises(ValueError):
-        SandwichInstance.build(3, {(0, 3)}, set())
+        SandwichInstance(3, {(0, 3)}, set())
     with pytest.raises(ValueError):
-        SandwichInstance.build(3, {(1, 1)}, set())
+        SandwichInstance(3, {(1, 1)}, set())
 
 
 def test_validate_lists_violations():
-    inst = SandwichInstance.build(4, SQUARE, {(0, 2)})
-    assert validate(inst) == []
-    broken = object.__new__(SandwichInstance)
-    object.__setattr__(broken, "n", 3)
-    object.__setattr__(broken, "forced", frozenset({(0, 1), (2, 5)}))
-    object.__setattr__(broken, "optional", frozenset({(0, 1), (1, 1)}))
-    object.__setattr__(broken, "names", None)
-    problems = validate(broken)
-    assert len(problems) == 3  # out-of-range, overlap, loop
+    # One error names every violation: out-of-range, overlap, loop.
+    with pytest.raises(ValueError, match=r"^invalid instance: forced edge "
+                       r"\(2, 5\) out of range; optional edge \(1, 1\) is a "
+                       r"loop; forced and optional overlap on \[\(0, 1\)\]$"):
+        SandwichInstance(3, {(0, 1), (5, 2)}, {(0, 1), (1, 1)})
 
 
 def test_names_must_be_single_words():
     # format_instance writes `v <id> <name>` lines, which parse_instance
     # splits on whitespace.
-    with pytest.raises(ValueError, match="not one non-empty word"):
-        SandwichInstance.build(2, [(0, 1)], [], ["a b", ""])
-    broken = SandwichInstance(2, frozenset({(0, 1)}), frozenset(),
-                              ("a b", ""))
-    assert len(validate(broken)) == 2
+    with pytest.raises(ValueError, match="'a b' of vertex 0 is not one "
+                       "non-empty word; name '' of vertex 1 is not one"):
+        SandwichInstance(2, [(0, 1)], [], ["a b", ""])
     for name in ("a\tb", "a\n", " a", 7):
         with pytest.raises(ValueError):
-            SandwichInstance.build(2, [(0, 1)], [], ["x", name])
-    assert SandwichInstance.build(2, [(0, 1)], [], ['a"b', "c\\"]).names \
+            SandwichInstance(2, [(0, 1)], [], ["x", name])
+    assert SandwichInstance(2, [(0, 1)], [], ['a"b', "c\\"]).names \
         == ('a"b', "c\\")
 
 
 def test_forbidden_is_the_remainder():
-    inst = SandwichInstance.build(4, SQUARE, {(0, 2)})
+    inst = SandwichInstance(4, SQUARE, {(0, 2)})
     assert inst.forbidden() == {(1, 3)}
 
 
 def test_realize_rejects_non_optional_edges():
-    inst = SandwichInstance.build(4, SQUARE, {(0, 2)})
+    inst = SandwichInstance(4, SQUARE, {(0, 2)})
     assert inst.realize({(0, 2)}).has_edge(0, 2)
     with pytest.raises(ValueError):
         inst.realize({(1, 3)})
 
 
 def test_g1_g2_bounds():
-    inst = SandwichInstance.build(4, SQUARE, {(0, 2)})
+    inst = SandwichInstance(4, SQUARE, {(0, 2)})
     assert inst.g1().edge_count == 4
     assert inst.g2().edge_count == 5
     assert is_sandwich_graph(inst, inst.g1())
@@ -100,13 +95,13 @@ def test_g1_g2_bounds():
 # -- complement transform -----------------------------------------------------
 
 def test_complement_of_forced_triangle_is_edgeless():
-    inst = SandwichInstance.build(3, {(0, 1), (0, 2), (1, 2)}, set())
+    inst = SandwichInstance(3, {(0, 1), (0, 2), (1, 2)}, set())
     comp = complement_instance(inst)
     assert comp.forced == frozenset() and comp.optional == frozenset()
 
 
 def test_complement_keeps_optional_and_swaps_the_rest():
-    inst = SandwichInstance.build(3, {(0, 1)}, {(1, 2)})
+    inst = SandwichInstance(3, {(0, 1)}, {(1, 2)})
     comp = complement_instance(inst)
     assert comp.forced == {(0, 2)}
     assert comp.optional == {(1, 2)}
@@ -116,6 +111,16 @@ def test_complement_keeps_optional_and_swaps_the_rest():
 @given(instances())
 def test_complement_is_involution(inst):
     assert complement_instance(complement_instance(inst)) == inst
+
+
+@given(instances())
+def test_complement_equals_the_checked_construction(inst):
+    # complement_instance skips the constructor's checks; its result must
+    # equal the checked instance, which equals the plain tuple of its fields.
+    fields = (inst.n, inst.forbidden(), inst.optional, inst.names)
+    comp = complement_instance(inst)
+    assert comp == SandwichInstance(*fields) == fields
+    assert type(comp) is SandwichInstance
 
 
 @given(instances(max_n=6, max_optional=8))
@@ -131,14 +136,14 @@ def test_complement_duality_on_odd_properties(inst):
 # -- solvers ------------------------------------------------------------------
 
 def test_square_with_chord_is_chordal_sat():
-    inst = SandwichInstance.build(4, SQUARE, {(0, 2)})
+    inst = SandwichInstance(4, SQUARE, {(0, 2)})
     result = solve(inst, "chordal")
     assert result.verdict == "SAT"
     assert result.completion.chosen == {(0, 2)}
 
 
 def test_bare_square_unsat_for_chordal_and_even_hole_free():
-    inst = SandwichInstance.build(4, SQUARE, set())
+    inst = SandwichInstance(4, SQUARE, set())
     assert solve(inst, "chordal").verdict == "UNSAT"
     assert solve(inst, "even-hole-free").verdict == "UNSAT"
     assert brute_force_solve(inst, "chordal").verdict == "UNSAT"
@@ -147,7 +152,7 @@ def test_bare_square_unsat_for_chordal_and_even_hole_free():
 
 def test_forced_only_satisfaction_is_sat():
     # Forced graph already chordal: the solver must notice, whatever it adds.
-    inst = SandwichInstance.build(5, {(0, 1), (1, 2)}, {(3, 4), (2, 3)})
+    inst = SandwichInstance(5, {(0, 1), (1, 2)}, {(3, 4), (2, 3)})
     result = solve(inst, "chordal")
     assert result.verdict == "SAT"
     g = inst.realize(result.completion.chosen)
@@ -155,7 +160,7 @@ def test_forced_only_satisfaction_is_sat():
 
 
 def test_solve_rejects_berge_and_bad_instances():
-    inst = SandwichInstance.build(4, SQUARE, set())
+    inst = SandwichInstance(4, SQUARE, set())
     with pytest.raises(ValueError):
         solve(inst, "berge")
     with pytest.raises(ValueError):
@@ -164,18 +169,18 @@ def test_solve_rejects_berge_and_bad_instances():
 
 def test_brute_force_caps_optional_at_twenty():
     pairs = list(combinations(range(7), 2))[:21]
-    inst = SandwichInstance.build(7, set(), set(pairs))
+    inst = SandwichInstance(7, set(), set(pairs))
     with pytest.raises(ValueError):
         brute_force_solve(inst, "chordal")
     assert brute_force_solve(
-        SandwichInstance.build(7, set(), set(pairs[:20])), "chordal"
+        SandwichInstance(7, set(), set(pairs[:20])), "chordal"
     ).verdict == "SAT"
 
 
 def test_budget_verdict():
     ring = {tuple(sorted((i, (i + 1) % 9))) for i in range(9)}
     chords = set(combinations(range(9), 2)) - ring - {(0, 2)}
-    inst = SandwichInstance.build(9, ring, chords)
+    inst = SandwichInstance(9, ring, chords)
     assert solve(inst, "chordal", budget=1).verdict == "BUDGET"
     unlimited = solve(inst, "chordal", budget=None, check_budget=None)
     assert unlimited.verdict == "SAT"
@@ -202,14 +207,18 @@ def test_depth_first_order_nodes_and_frontier():
     assert depth_first((), lambda path: [], None) == ("UNSAT", None, 1, 0)
 
 
-def test_deep_search_needs_no_recursion():
-    # 300 disjoint forced four-holes, each with its two chords optional:
-    # the search path decides one chord of each, 300 decisions deep.
-    k = 300
+def forced_four_holes(k):
+    """k disjoint forced four-holes, each with its two chords optional: an
+    even-hole-free search path decides one chord of each, k decisions deep."""
     forced = [(4 * i + j, 4 * i + (j + 1) % 4)
               for i in range(k) for j in range(4)]
     chords = [(4 * i + j, 4 * i + j + 2) for i in range(k) for j in (0, 1)]
-    inst = SandwichInstance.build(4 * k, forced, chords)
+    return SandwichInstance(4 * k, forced, chords)
+
+
+def test_deep_search_needs_no_recursion():
+    k = 300
+    inst = forced_four_holes(k)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
@@ -218,6 +227,28 @@ def test_deep_search_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert (result.verdict, result.nodes) == ("SAT", k + 1)
     assert check(inst.realize(result.completion.chosen), "even-hole-free")[0]
+
+
+def test_waiting_states_share_their_decisions():
+    # k out-branches wait along a search path k decisions deep.  States
+    # that share their ancestors' decisions hold O(k) of them; a copy of
+    # the path per state holds O(k^2).  The adjacency masks grow with n
+    # too, so doubling k from 60 to 120 raises the traced peak 2.65x with
+    # shared states (20 -> 53 KiB, CPython 3.10-3.13) and 3.76x with
+    # copies (90 -> 338 KiB).  An untraced solve first fills the tuple
+    # free lists, which tracemalloc counts as allocated.
+    solve(forced_four_holes(120), "even-hole-free")
+    peaks = []
+    for k in (60, 120):
+        inst = forced_four_holes(k)
+        tracemalloc.start()
+        try:
+            result = solve(inst, "even-hole-free")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (result.verdict, result.nodes) == ("SAT", k + 1)
+    assert peaks[1] < 3.2 * peaks[0], peaks
 
 
 @given(instances(max_n=6, max_optional=8),

@@ -24,9 +24,9 @@ EQUAL_PAIRS = [
                  id="Cycle"),
     pytest.param(Certificate("hole", (0, 1, 2, 3)),
                  Certificate("hole", (0, 1, 2, 3)), "kind", id="Certificate"),
-    pytest.param(SandwichInstance.build(4, SQUARE, {(0, 2)}, "abcd"),
-                 SandwichInstance.build(4, {(1, 0), (2, 1), (3, 2), (3, 0)},
-                                        [(2, 0)], ["a", "b", "c", "d"]),
+    pytest.param(SandwichInstance(4, SQUARE, {(0, 2)}, "abcd"),
+                 SandwichInstance(4, {(1, 0), (2, 1), (3, 2), (3, 0)},
+                                  [(2, 0)], ["a", "b", "c", "d"]),
                  "forced", id="SandwichInstance"),
     pytest.param(SolveResult("SAT", Completion(frozenset({(0, 2)})), 3),
                  SolveResult("SAT", Completion(frozenset({(0, 2)})), 3,
@@ -61,8 +61,8 @@ def test_fields_cannot_be_assigned_or_deleted(value, twin, field):
 
 def test_different_values_differ():
     assert Cycle((0, 1, 2, 3)) != Cycle((0, 2, 1, 3))
-    assert SandwichInstance.build(4, SQUARE, set()) != \
-        SandwichInstance.build(4, SQUARE, {(0, 2)})
+    assert SandwichInstance(4, SQUARE, set()) != \
+        SandwichInstance(4, SQUARE, {(0, 2)})
     assert SolveResult("SAT", None, 3) != SolveResult("SAT", None, 4)
     assert CnfFormula(3, ((1, 2, 3),)) != CnfFormula(4, ((1, 2, 3),))
 
