@@ -22,17 +22,16 @@ _HOME = {name: module for module, names in (
     ("graph", "Cycle Graph"),
     ("io", "InstanceFormatError format_completion format_dot "
            "format_instance parse_completion parse_instance"),
-    ("recognition", "PROPERTY_IDS Certificate check is_chordal"),
+    ("recognition", "PROPERTY_IDS Certificate check"),
     ("reduction_even", "EvenGadgetMap build_even_instance "
                        "propagate_orientations solve_with_orientations"),
     ("reduction_odd", "GadgetError OddGadgetMap build_c5_instance "
                       "build_odd_hole_free_instance"),
-    ("sandwich", "SOLVABLE_PROPERTY_IDS Completion SandwichInstance "
-                 "SolveResult complement_instance solve"),
+    ("sandwich", "Completion SandwichInstance SolveResult "
+                 "complement_instance solve"),
     ("verify", "SUITES CriterionResult brute_force_solve chordless_cycles "
-               "contains_subgraph find_induced_path find_subgraph "
-               "five_cycle_census is_sandwich_graph run_suite "
-               "structural_report triangles"),
+               "find_induced_path five_cycle_census is_sandwich_graph "
+               "run_suite structural_report triangles"),
 ) for name in names.split()}
 
 __all__ = sorted(_HOME)

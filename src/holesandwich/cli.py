@@ -23,8 +23,7 @@ from .reduction_even import (OrientationError, build_even_instance,
 from .reduction_odd import (GadgetError, build_c5_instance,
                             build_odd_hole_free_instance,
                             extract_assignment as extract_odd)
-from .sandwich import (DEFAULT_SOLVE_BUDGET, SOLVABLE_PROPERTY_IDS,
-                       complement_instance, solve)
+from .sandwich import DEFAULT_SOLVE_BUDGET, complement_instance, solve
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -257,7 +256,7 @@ def _parser():
 
     p = sub.add_parser("solve", help="decide a serialized sandwich instance")
     p.add_argument("instance", help="instance file, or - for stdin")
-    p.add_argument("--property", choices=SOLVABLE_PROPERTY_IDS, required=True)
+    p.add_argument("--property", choices=PROPERTY_IDS, required=True)
     p.add_argument("--budget", type=_budget, default=DEFAULT_SOLVE_BUDGET,
                    help="search-node cap (default %d)" % DEFAULT_SOLVE_BUDGET)
     p.add_argument("--completion-out", default=None,
@@ -276,7 +275,7 @@ def _parser():
     p.add_argument("--graph", choices=("g1", "g2"), default=None,
                    help="check the forced (g1) or allowed (g2) graph instead")
     p.add_argument("--budget", type=_budget, default=DEFAULT_CHECK_BUDGET,
-                   help="cycle-search step cap (default %d)"
+                   help="recognition step cap (default %d)"
                         % DEFAULT_CHECK_BUDGET)
     p.set_defaults(func=_cmd_check)
 

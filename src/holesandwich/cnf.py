@@ -44,6 +44,10 @@ class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
                 raise CnfError("clause %d repeats a variable" % idx)
         return super().__new__(cls, num_vars, clauses)
 
+    def _replace(self, **fields):
+        """A copy with `fields` changed, checked like a new formula."""
+        return type(self)(**{**self._asdict(), **fields})
+
     @property
     def num_clauses(self):
         return len(self.clauses)

@@ -55,9 +55,6 @@ class Graph:
     def has_edge(self, u, v):
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v):
-        return tuple(_bits(self.adj[v]))
-
     def degree(self, v):
         return self.adj[v].bit_count()
 
@@ -69,10 +66,6 @@ class Graph:
             for v in _bits(high):
                 out.append((u, v))
         return out
-
-    @property
-    def edge_count(self):
-        return sum(m.bit_count() for m in self.adj) // 2
 
     # -- derived graphs ----------------------------------------------------
 
@@ -103,7 +96,9 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __repr__(self):
-        return "Graph(n=%d, edges=%r)" % (self.n, self.edges())
+        # The masks, not the edge list: a mask can hold a vertex's own bit
+        # (through _from_masks), which the edges do not show.
+        return "Graph(n=%d, adj=%r)" % (self.n, self.adj)
 
 
 class Cycle:

@@ -1,35 +1,34 @@
 """Exact recognition of hole-defined graph classes, with certificates.
 
-Supported property ids:
-
-    chordal            no chordless cycle of length >= 4
-    c5-free            no induced five-cycle
-    odd-hole-free      no chordless cycle of odd length >= 5
-    even-hole-free     no chordless cycle of even length >= 4
-    odd-antihole-free  complement has no odd hole
-    berge              odd-hole-free and odd-antihole-free
-
-Every negative answer comes with a violating certificate (the hole, in cycle
-order; for antiholes, the hole of the complement).  A positive chordality
-answer carries a perfect elimination order.  All procedures are exact; the
-exponential ones honour a step budget and raise BudgetExhausted rather than
-guess.
+`FORBIDDEN` lists, for each supported property id, the holes and antiholes
+it forbids; the violation search, the certificate check and the sandwich
+solver all read it.  Every negative answer comes with a violating
+certificate (the hole, in cycle order; for antiholes, the hole of the
+complement).  A positive chordality answer carries a perfect elimination
+order.  All procedures are exact; the exponential ones honour a step budget
+and raise BudgetExhausted rather than guess.
 """
 
 from collections import namedtuple
 from itertools import combinations
+from math import comb
 
 from .budget import Budget
 from .graph import Cycle, _bits, is_bipartite, iter_chordless_cycles
 
-PROPERTY_IDS = (
-    "chordal",
-    "c5-free",
-    "odd-hole-free",
-    "even-hole-free",
-    "odd-antihole-free",
-    "berge",
-)
+# What each property forbids, in search order: a chordless cycle of length
+# >= 4 of the graph ("hole") or of its complement ("antihole"), of any
+# length (None), of one parity ("odd", "even") or of length exactly 5.
+FORBIDDEN = {
+    "chordal": (("hole", None),),
+    "c5-free": (("hole", 5),),
+    "odd-hole-free": (("hole", "odd"),),
+    "even-hole-free": (("hole", "even"),),
+    "odd-antihole-free": (("antihole", "odd"),),
+    "berge": (("hole", "odd"), ("antihole", "odd")),
+}
+
+PROPERTY_IDS = tuple(FORBIDDEN)
 
 DEFAULT_CHECK_BUDGET = 10 ** 7
 C5_SCAN_MAX_VERTICES = 40
@@ -47,15 +46,88 @@ class Certificate(namedtuple("Certificate", "kind vertices")):
     __slots__ = ()
 
 
-def is_chordal(g, budget=DEFAULT_CHECK_BUDGET):
-    """Maximum-cardinality-search chordality test.
+def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
+    """Certificate of the first structure in `g` violating `prop`, or None.
 
-    Returns (True, peo certificate) or (False, hole certificate).  MCS builds
-    a candidate elimination order; one verification pass either confirms it
-    (the order is then a valid witness for any consumer) or pinpoints a
-    failure, in which case a chordless cycle >= 4 exists and is located by
-    enumeration.
+    The property's `FORBIDDEN` entries are searched in order; the first
+    structure found is the answer.  Holes come in canonical enumeration
+    order, an odd one is not searched for in a 2-colourable graph, and a
+    chordal graph is accepted by its maximum-cardinality-search order before
+    any cycle search.  The certificate's vertex set lives in `g` either way,
+    and every way to destroy the structure adds a non-edge in it.
+
+    `budget` caps the steps of all searches of one call together; None
+    means unlimited.  Exhaustion raises BudgetExhausted.
     """
+    cert = _search(g, prop, budget)
+    return None if cert is None or cert.kind == "peo" else cert
+
+
+def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
+    """Decide `prop` for `g`; returns (verdict, certificate_or_None).
+
+    A negative verdict carries `first_violation`'s certificate; a positive
+    chordality verdict carries a perfect elimination order.  `budget` is
+    `first_violation`'s: exhaustion raises BudgetExhausted and the verdict
+    stays unknown.
+    """
+    cert = _search(g, prop, budget)
+    return cert is None or cert.kind == "peo", cert
+
+
+def verify_certificate(g, prop, verdict, cert):
+    """Re-check a (verdict, certificate) pair against the graph it came from."""
+    if prop not in FORBIDDEN:
+        raise ValueError("unknown property id %r" % (prop,))
+    if verdict:
+        if prop == "chordal":
+            return cert is not None and cert.kind == "peo" and _verify_peo(g, cert.vertices)
+        return cert is None
+    if cert is None:
+        return False
+    for kind, shape in FORBIDDEN[prop]:
+        if cert.kind == kind:
+            cyc = Cycle(tuple(cert.vertices))
+            host = g if kind == "hole" else g.complement()
+            return _fits(cyc.length, shape) and cyc.is_chordless_in(host)
+    return False
+
+
+# -- internals ---------------------------------------------------------------
+
+def _search(g, prop, budget):
+    """`check`'s certificate: a perfect elimination order when `prop` is
+    chordal and `g` passes, else `first_violation`'s."""
+    if prop not in FORBIDDEN:
+        raise ValueError("unknown property id %r" % (prop,))
+    if prop == "chordal":
+        order = _mcs_order(g)
+        if _verify_peo(g, order):
+            return Certificate("peo", order)
+    tracker = Budget(budget)
+    for kind, shape in FORBIDDEN[prop]:
+        host = g if kind == "hole" else g.complement()
+        if shape == 5 and g.n <= C5_SCAN_MAX_VERTICES:
+            found = _scan_c5(host, tracker)
+        elif shape == "odd" and is_bipartite(host):
+            found = None
+        else:
+            found = _first_cycle(host, tracker, shape)
+        if found is not None:
+            return Certificate(kind, found)
+    return None
+
+
+def _fits(length, shape):
+    """True when a chordless cycle of `length` has a FORBIDDEN entry's shape."""
+    if shape == 5:
+        return length == 5
+    return length >= 4 and shape in (None, ("even", "odd")[length % 2])
+
+
+def _mcs_order(g):
+    """Maximum cardinality search, reversed: a perfect elimination order
+    exactly when `g` is chordal, which one `_verify_peo` pass decides."""
     n = g.n
     weights = [0] * n
     visited = [False] * n
@@ -70,95 +142,7 @@ def is_chordal(g, budget=DEFAULT_CHECK_BUDGET):
         for u in _bits(g.adj[best]):
             if not visited[u]:
                 weights[u] += 1
-    order = tuple(reversed(visit_order))
-
-    if _verify_peo(g, order):
-        return True, Certificate("peo", order)
-    hole = _first_cycle(g, Budget(budget))
-    return False, Certificate("hole", hole.vertices)
-
-
-def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
-    """Certificate of the first structure in `g` violating `prop`, or None.
-
-    chordal: the first chordless cycle of length >= 4, searched only after the
-    MCS order fails its perfect-elimination check; c5-free: an induced C5;
-    odd- and even-hole-free: the first chordless cycle of that parity, none
-    odd in a 2-colourable `g`; odd-antihole-free: the first odd hole of the
-    complement; berge: an odd hole, else an odd antihole.  Cycles come in
-    canonical enumeration order.  The certificate's vertex set lives in `g`
-    either way, and every way to destroy the structure adds a non-edge in it.
-
-    `budget` caps cycle-search expansions, shared by all searches of one
-    call; None means unlimited.  Exhaustion raises BudgetExhausted.
-    """
-    if prop not in PROPERTY_IDS:
-        raise ValueError("unknown property id %r" % (prop,))
-    if prop == "chordal":
-        chordal, cert = is_chordal(g, budget)
-        return None if chordal else cert
-    tracker = Budget(budget)
-    if prop == "c5-free":
-        c5 = _find_c5(g, tracker)
-        return None if c5 is None else Certificate("hole", c5)
-    if prop in ("odd-hole-free", "even-hole-free", "berge"):
-        parity = 0 if prop == "even-hole-free" else 1
-        hole = None if parity and is_bipartite(g) else _first_cycle(g, tracker, parity)
-        if hole is not None:
-            return Certificate("hole", hole.vertices)
-    if prop in ("odd-antihole-free", "berge"):
-        anti = _first_cycle(g.complement(), tracker, parity=1)
-        if anti is not None:
-            return Certificate("antihole", anti.vertices)
-    return None
-
-
-def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
-    """Decide `prop` for `g`; returns (verdict, certificate_or_None).
-
-    A negative verdict carries `first_violation`'s certificate; a positive
-    chordality verdict carries a perfect elimination order.  `budget` caps
-    cycle-search expansions (None: unlimited); exhaustion raises
-    BudgetExhausted and the verdict stays unknown.
-    """
-    if prop == "chordal":
-        return is_chordal(g, budget)
-    cert = first_violation(g, prop, budget)
-    return cert is None, cert
-
-
-def verify_certificate(g, prop, verdict, cert):
-    """Re-check a (verdict, certificate) pair against the graph it came from."""
-    if prop not in PROPERTY_IDS:
-        raise ValueError("unknown property id %r" % (prop,))
-    if verdict:
-        if prop == "chordal":
-            return cert is not None and cert.kind == "peo" and _verify_peo(g, cert.vertices)
-        return cert is None
-    if cert is None:
-        return False
-    if cert.kind == "hole":
-        cyc = Cycle(tuple(cert.vertices))
-        if not cyc.is_chordless_in(g):
-            return False
-        if prop == "chordal":
-            return cyc.length >= 4
-        if prop == "c5-free":
-            return cyc.length == 5
-        if prop == "odd-hole-free" or prop == "berge":
-            return cyc.length >= 5 and cyc.is_odd
-        if prop == "even-hole-free":
-            return cyc.length >= 4 and not cyc.is_odd
-        return False
-    if cert.kind == "antihole":
-        if prop not in ("odd-antihole-free", "berge"):
-            return False
-        cyc = Cycle(tuple(cert.vertices))
-        return cyc.length >= 5 and cyc.is_odd and cyc.is_chordless_in(g.complement())
-    return False
-
-
-# -- internals ---------------------------------------------------------------
+    return tuple(reversed(visit_order))
 
 def _verify_peo(g, order):
     """One-pass perfect-elimination check.
@@ -191,34 +175,35 @@ def _verify_peo(g, order):
     return True
 
 
-def _first_cycle(g, budget, parity=None):
-    """First chordless cycle of length >= 4 (optionally of fixed parity), or
-    None; `budget` is the Budget the search spends expansions from."""
-    for cyc in iter_chordless_cycles(g, 4, budget):
-        if parity is None or cyc.length % 2 == parity:
-            return cyc
+def _first_cycle(g, budget, shape):
+    """Vertices of the first chordless cycle of `g` of a FORBIDDEN entry's
+    shape, or None; a length-5 search grows no longer paths."""
+    exact = 5 if shape == 5 else None
+    for cyc in iter_chordless_cycles(g, exact or 4, budget, exact):
+        if _fits(cyc.length, shape):
+            return cyc.vertices
     return None
 
 
-def _find_c5(g, budget):
-    """Vertex order of some induced five-cycle, or None.
+def _scan_c5(g, budget):
+    """Vertex order of some induced five-cycle, or None, by five-subset scan.
 
-    Small graphs use the direct subset scan: five vertices induce a C5 exactly
-    when each has two neighbours inside the subset (a 2-regular graph on five
-    vertices is connected).  Larger graphs fall back to bounded-length
-    chordless path search.
+    Five vertices induce a C5 exactly when each has two neighbours inside
+    the subset (a 2-regular graph on five vertices is connected).  The
+    C(n-a-1, 4) subsets whose smallest vertex is a are paid for from
+    `budget` before they are scanned.
     """
-    if g.n <= C5_SCAN_MAX_VERTICES:
-        adj = g.adj
-        for subset in combinations(range(g.n), 5):
-            mask = 0
-            for v in subset:
+    n, adj = g.n, g.adj
+    for a in range(n):
+        budget.spend(comb(n - a - 1, 4))
+        low = 1 << a
+        for rest in combinations(range(a + 1, n), 4):
+            mask = low
+            for v in rest:
                 mask |= 1 << v
-            if all((adj[v] & mask).bit_count() == 2 for v in subset):
-                return _walk_cycle(g, subset)
-        return None
-    for cyc in iter_chordless_cycles(g, min_len=5, budget=budget, max_len=5):
-        return cyc.vertices
+            if (all((adj[v] & mask).bit_count() == 2 for v in rest)
+                    and (adj[a] & mask).bit_count() == 2):
+                return _walk_cycle(g, (a,) + rest)
     return None
 
 

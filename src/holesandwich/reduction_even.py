@@ -35,20 +35,6 @@ POSITIVE, NEGATIVE = "positive", "negative"
 class OrientationError(Exception):
     """A sandwich graph whose orientations do not define an assignment."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class MixedOrientationError(OrientationError):
-    """Some variable carries both orientations; witness is the four-hole
-    (head, positive shoulder, foot, negative shoulder) in cycle order."""
-
-
-class IncompleteOrientationError(OrientationError):
-    """Some incidence carries neither orientation; witness is the
-    (variable, clause) pair."""
-
 
 class EvenGadgetMap:
     """Vertex roles of a built instance.
@@ -211,10 +197,9 @@ def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's orientations.
 
     All incidences of a variable must carry the same orientation.  Raises
-    MixedOrientationError (witness: the four-hole head, S_X, foot, S_X-bar)
-    when both polarities occur, IncompleteOrientationError (witness: the
-    (variable, clause) pair) when an incidence has neither.  Variables with
-    no occurrences are read off the true-shoulder clique against the first
+    OrientationError naming the variable when both polarities occur, and
+    naming the incidence when one has neither.  Variables with no
+    occurrences are read off the true-shoulder clique against the first
     oriented variable's shoulder, defaulting to false when the instance has
     no clauses.
     """
@@ -227,15 +212,11 @@ def extract_assignment(gmap, g):
         status = {j: read_orientation(gmap, g, i, j) for j in incidences}
         statuses = set(status.values())
         if "both" in statuses or (POSITIVE in statuses and NEGATIVE in statuses):
-            witness = (gmap.head, gmap.shoulder[i], gmap.foot,
-                       gmap.shoulder[-i])
-            raise MixedOrientationError(
-                "variable %d carries both orientations" % i, witness=witness)
+            raise OrientationError("variable %d carries both orientations" % i)
         if "none" in statuses:
             j = next(j for j in incidences if status[j] == "none")
-            raise IncompleteOrientationError(
-                "incidence (%d, clause %d) has no orientation" % (i, j),
-                witness=(i, j))
+            raise OrientationError(
+                "incidence (%d, clause %d) has no orientation" % (i, j))
         assignment[i] = statuses == {POSITIVE}
         if anchor is None:
             anchor = i
@@ -381,9 +362,7 @@ def propagate_orientations(inst, gmap, decided):
             forced_log[e] = val
 
 
-def solve_with_orientations(formula, inst, gmap,
-                            budget=DEFAULT_SOLVE_BUDGET,
-                            check_budget=DEFAULT_CHECK_BUDGET):
+def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
     """Exact even-hole-free sandwich search by orientation branching.
 
     Depth-first over variables; a state is a pair (decisions, assignment)
@@ -394,9 +373,12 @@ def solve_with_orientations(formula, inst, gmap,
     failing leaf must propagate to a contradiction, and raises
     AssertionError when it does not or when its assignment satisfies the
     formula.  The split is exhaustive, so no SAT leaf means an exact UNSAT
-    (docs/solver.md).  `budget` caps nodes and `check_budget` each
-    recognition search; None means unlimited.
+    (docs/solver.md).  `budget` caps nodes, and a finite one caps each
+    leaf's recognition search at DEFAULT_CHECK_BUDGET steps; None leaves
+    both unlimited.
     """
+    check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
+
     def expand(state):
         decided, assignment = state
         var = len(assignment) + 1

@@ -35,18 +35,13 @@ graph share a single forced edge):
   clause cycle survives as an induced C5.
 """
 
-from .graph import Cycle
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
 
 REPEATER_SIDES = ("var", "clause")
 
 
 class GadgetError(Exception):
-    """A realized graph that cannot be decoded; carries a witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """An assignment or a realized graph the gadgets cannot translate."""
 
 
 class OddGadgetMap:
@@ -219,8 +214,7 @@ def completion_from_assignment(gmap, assignment):
         satisfied = [q for q, lit in enumerate(clause, start=1)
                      if assignment[abs(lit)] == (lit > 0)]
         if not satisfied:
-            raise GadgetError("clause %d is not satisfied" % j,
-                              witness=clause)
+            raise GadgetError("clause %d is not satisfied" % j)
         q_star = satisfied[0]
         for q in (1, 2, 3):
             c_out, c_in = gmap.repeater_chords[(j, q, "clause")]
@@ -236,8 +230,8 @@ def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's variable chords.
 
     A variable is true iff its true-chord is present (true-chord wins when
-    both chords are).  Raises GadgetError with the chordless variable cycle
-    as witness if some gadget has neither chord.
+    both chords are).  Raises GadgetError naming the variable if some gadget
+    has neither chord.
     """
     assignment = {}
     for i in range(1, gmap.num_vars + 1):
@@ -246,8 +240,6 @@ def extract_assignment(gmap, g):
         t_in = g.has_edge(*t)
         f_in = g.has_edge(*f)
         if not (t_in or f_in):
-            raise GadgetError(
-                "variable %d five-cycle has no chord" % i,
-                witness=Cycle(gmap.variable_cycle[i]))
+            raise GadgetError("variable %d five-cycle has no chord" % i)
         assignment[i] = t_in
     return assignment

@@ -23,8 +23,6 @@ from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
 
 DEFAULT_SOLVE_BUDGET = 10 ** 6
 
-SOLVABLE_PROPERTY_IDS = tuple(p for p in PROPERTY_IDS if p != "berge")
-
 
 def normalized_edge(u, v):
     if u == v:
@@ -66,6 +64,10 @@ class SandwichInstance(namedtuple("SandwichInstance",
         if errors:
             raise ValueError("invalid instance: " + "; ".join(errors))
         return super().__new__(cls, n, forced, optional, names)
+
+    def _replace(self, **fields):
+        """A copy with `fields` changed, checked like a new instance."""
+        return type(self)(**{**self._asdict(), **fields})
 
     def name(self, v):
         """Role name of vertex v, falling back to its index."""
@@ -140,7 +142,7 @@ def depth_first(root, expand, budget):
     return SolveResult("UNSAT", None, nodes.spent)
 
 
-def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BUDGET):
+def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
     """Exact sandwich search by three-state backtracking.
 
     Optional edges are in, out, or undecided.  Each node locates the first
@@ -151,13 +153,14 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET, check_budget=DEFAULT_CHECK_BU
     branch is dead.  When nothing violates the property, remaining undecided
     edges are decided out and the node's graph is the completion.
 
-    `budget` caps search nodes and `check_budget` each violation search's
-    expansions; None means unlimited.  On exhaustion of either the verdict is
-    "BUDGET" with the count of unexplored out-branches.  See docs/solver.md
-    for the completeness argument.
+    `budget` caps search nodes, and a finite one caps each violation search
+    at DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.  On exhaustion
+    of either the verdict is "BUDGET" with the count of unexplored
+    out-branches.  See docs/solver.md for the completeness argument.
     """
-    if prop not in SOLVABLE_PROPERTY_IDS:
-        raise ValueError("solve does not support property %r" % (prop,))
+    if prop not in PROPERTY_IDS:
+        raise ValueError("unknown property id %r" % (prop,))
+    check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
 
     # A state is its last decision and its parent state, (edge, value,
     # parent), with None the root: siblings share their ancestors' decisions.

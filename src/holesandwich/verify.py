@@ -12,7 +12,7 @@ test.  All randomness is seeded and the seed is reported in each result.
 
 This module is also the home of everything only these checks and the tests
 call: reference searches over graphs (`chordless_cycles`, `triangles`,
-`find_subgraph`, `find_induced_path`), the small graphs they are tried on
+`find_gem`, `find_induced_path`), the small graphs they are tried on
 (`path_graph`, `cycle_graph`, `complete_graph`), the reference solver
 `brute_force_solve`, and the five-cycle reduction's invariant checks
 (`structural_report`, `five_cycle_census`).  No CLI command but `verify`
@@ -26,17 +26,15 @@ from itertools import combinations, product
 from .budget import Budget
 from .cnf import CnfFormula
 from .graph import Cycle, Graph, _bits, iter_chordless_cycles
-from .recognition import DEFAULT_CHECK_BUDGET, check
+from .recognition import PROPERTY_IDS, check
 from .reduction_even import (build_even_instance, completion_from_assignment,
                              extract_assignment as extract_even,
                              propagate_orientations, solve_with_orientations)
 from .reduction_odd import build_c5_instance, extract_assignment as extract_odd
-from .sandwich import (SOLVABLE_PROPERTY_IDS, Completion, SandwichInstance,
-                       SolveResult, complement_instance, normalized_edge,
-                       solve)
+from .sandwich import (Completion, SandwichInstance, SolveResult,
+                       complement_instance, normalized_edge, solve)
 
 DEFAULT_SEED = 20240901
-MAX_PATTERN_VERTICES = 8
 BRUTE_FORCE_MAX_OPTIONAL = 20
 
 
@@ -70,69 +68,24 @@ def triangles(g):
     return out
 
 
-def find_subgraph(g, pattern):
-    """An injective map sending pattern edges onto g edges, or None.
+def find_gem(g):
+    """A gem in `g` as (a, b, c, d, v), or None: the path a-b-c-d plus v
+    adjacent to all four, as a subgraph, not necessarily induced.
 
-    Subgraph containment is *not* induced: pattern non-edges may map onto
-    edges of g.  Returns a tuple `m` with m[i] = image of pattern vertex i.
-    Patterns are capped at MAX_PATTERN_VERTICES vertices.
+    A gem on v is a four-vertex path inside N(v), so each edge bc inside
+    N(v) is tried as the path's middle edge, a taken from N(b) and d from
+    N(c) within N(v).
     """
-    k = pattern.n
-    if k > MAX_PATTERN_VERTICES:
-        raise ValueError("pattern has %d vertices; at most %d supported"
-                         % (k, MAX_PATTERN_VERTICES))
-    if k == 0:
-        return ()
-    if k > g.n:
-        return None
-
-    # Order pattern vertices so each one (after the first) touches a placed
-    # vertex when possible; candidates then shrink to neighbourhood
-    # intersections.
-    order = []
-    placed = set()
-    degs = [pattern.degree(v) for v in range(k)]
-    while len(order) < k:
-        best = None
-        for v in range(k):
-            if v in placed:
-                continue
-            back = sum(1 for u in pattern.neighbors(v) if u in placed)
-            key = (back, degs[v], -v)
-            if best is None or key > best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed.add(best[1])
-
-    g_degs = [g.degree(v) for v in range(g.n)]
-    full = (1 << g.n) - 1
-    image = {}
-
-    def place(idx, used_mask):
-        if idx == k:
-            return True
-        pv = order[idx]
-        cand = full & ~used_mask
-        for pu in pattern.neighbors(pv):
-            if pu in image:
-                cand &= g.adj[image[pu]]
-        for gv in _bits(cand):
-            if g_degs[gv] < degs[pv]:
-                continue
-            image[pv] = gv
-            if place(idx + 1, used_mask | (1 << gv)):
-                return True
-            del image[pv]
-        return False
-
-    if place(0, 0):
-        return tuple(image[v] for v in range(k))
+    adj = g.adj
+    for v in range(g.n):
+        around = adj[v]
+        for b in _bits(around):
+            for c in _bits(adj[b] & around):
+                for a in _bits(adj[b] & around & ~(1 << c)):
+                    ends = adj[c] & around & ~(1 << b | 1 << a)
+                    if ends:
+                        return (a, b, c, next(_bits(ends)), v)
     return None
-
-
-def contains_subgraph(g, pattern):
-    """True when g contains pattern as a (not necessarily induced) subgraph."""
-    return find_subgraph(g, pattern) is not None
 
 
 def find_induced_path(g, k):
@@ -184,16 +137,6 @@ def complete_graph(k):
     return Graph(k, list(combinations(range(k), 2)))
 
 
-def gem_graph():
-    """A four-vertex path plus one vertex adjacent to all of it.
-
-    Equivalently the complement of (P4 + isolated vertex).  This is the
-    five-vertex pattern whose absence as a subgraph certifies that no
-    complement-of-long-path (and hence no long antihole) can occur.
-    """
-    return Graph(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3)])
-
-
 # -- reference sandwich solver ----------------------------------------------
 
 def is_sandwich_graph(inst, g):
@@ -204,14 +147,12 @@ def is_sandwich_graph(inst, g):
     return inst.forced <= edges and edges <= (inst.forced | inst.optional)
 
 
-def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
+def brute_force_solve(inst, prop):
     """Reference solver: try every optional subset in counter order.
 
     Only meant for desk-scale cross-checks; refuses more than
     BRUTE_FORCE_MAX_OPTIONAL optional edges.
     """
-    if prop not in SOLVABLE_PROPERTY_IDS:
-        raise ValueError("solve does not support property %r" % (prop,))
     optional = sorted(inst.optional)
     if len(optional) > BRUTE_FORCE_MAX_OPTIONAL:
         raise ValueError("instance has %d optional edges; brute force is "
@@ -232,7 +173,7 @@ def brute_force_solve(inst, prop, check_budget=DEFAULT_CHECK_BUDGET):
             chosen.append((u, v))
             rest ^= low
         g = Graph._from_masks(inst.n, adj)
-        ok, _ = check(g, prop, check_budget)
+        ok, _ = check(g, prop)
         if ok:
             return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
     return SolveResult("UNSAT", None, 1 << len(optional))
@@ -329,9 +270,9 @@ def structural_report(inst):
 
     check3 = _triangle_sharing(inst, g2)
 
-    image = find_subgraph(g2, gem_graph())
-    check4 = CheckResult(image is None, image,
-                         "gem subgraph in allowed graph" if image else "")
+    gem = find_gem(g2)
+    check4 = CheckResult(gem is None, gem,
+                         "gem subgraph in allowed graph" if gem else "")
 
     return StructuralReport(check1, check2, check3, check4)
 
@@ -524,7 +465,7 @@ def solver_matches_brute_force(seed=DEFAULT_SEED):
     rng = random.Random(seed)
     failures = []
     cases = 0
-    for prop in SOLVABLE_PROPERTY_IDS:
+    for prop in PROPERTY_IDS:
         for _ in range(100):
             inst = _random_instance(rng, 9, 16)
             cases += 1

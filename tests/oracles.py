@@ -242,6 +242,24 @@ def are_isomorphic(n, edges_a, edges_b):
     return False
 
 
+GEM_EDGES = ((0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3))
+
+
+def is_gem(edges, image):
+    """True when `image` = (a, b, c, d, v) is five distinct vertices with the
+    gem's seven edges: the path a-b-c-d and v joined to all four."""
+    present = edge_set(edges)
+    return len(set(image)) == 5 and all(
+        (min(image[i], image[j]), max(image[i], image[j])) in present
+        for i, j in GEM_EDGES)
+
+
+def has_gem(n, edges):
+    """Gem subgraph, not necessarily induced, by scanning every 5-tuple."""
+    present = edge_set(edges)
+    return any(is_gem(present, image) for image in permutations(range(n), 5))
+
+
 def petersen_edges():
     """Petersen graph: outer C5, inner 5-star polygon, spokes."""
     outer = [(i, (i + 1) % 5) for i in range(5)]

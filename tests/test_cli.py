@@ -16,7 +16,7 @@ from holesandwich.io import format_instance, parse_instance
 from holesandwich.reduction_even import (build_even_instance,
                                          solve_with_orientations)
 from holesandwich.reduction_odd import build_c5_instance
-from holesandwich.sandwich import solve
+from holesandwich.sandwich import SandwichInstance, solve
 
 DIMACS_XYZ = "c one clause\np cnf 3 1\n1 2 3 0\n"
 DIMACS_MIXED = "p cnf 3 1\n1 -2 3 0\n"
@@ -172,6 +172,15 @@ def test_solve_budget_verdict_is_exit_three(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "BUDGET"
 
 
+def test_solve_accepts_berge(workdir, capsys):
+    # A forced five-cycle is an odd hole; its one optional chord repairs it.
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    (workdir / "c5.inst").write_text(
+        format_instance(SandwichInstance(5, ring, [(0, 2)])))
+    assert run("solve", workdir / "c5.inst", "--property", "berge") == 0
+    assert capsys.readouterr().out.splitlines() == ["SAT", "e 0 2"]
+
+
 # -- extract failure paths -------------------------------------------------------
 
 def test_extract_flags_unsound_completion(workdir, capsys):
@@ -195,7 +204,7 @@ def test_usage_errors_exit_two(workdir, capsys):
     assert run("solve", workdir / "bad.inst", "--property", "chordal") == 2
     capsys.readouterr()
     with pytest.raises(SystemExit) as info:
-        run("solve", workdir / "bad.inst", "--property", "berge")
+        run("solve", workdir / "bad.inst", "--property", "planar")
     assert info.value.code == 2
     for command, prop in (("solve", "chordal"), ("check", "chordal")):
         with pytest.raises(SystemExit) as info:
@@ -372,7 +381,7 @@ def test_cli_import_footprint():
     # and argparse are imported by the code paths that need them.  Without
     # bytecode files each module is compiled from source, so the
     # verification layer lives in verify, off the start-up path.
-    verify_only = ("structural_report", "brute_force_solve", "find_subgraph",
+    verify_only = ("structural_report", "brute_force_solve", "find_gem",
                    "chordless_cycles", "path_graph", "cycle_graph",
                    "complete_graph")
     loaded = fresh_imports("holesandwich.cli", then=(

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import Cycle, Graph, canonical_rotation, is_bipartite
 from holesandwich.verify import (chordless_cycles, complete_graph,
-                                 contains_subgraph, cycle_graph,
-                                 find_induced_path, find_subgraph, gem_graph,
+                                 cycle_graph, find_gem, find_induced_path,
                                  path_graph, triangles)
 
-from oracles import (chordless_cycles_oracle, complement_edges, edge_set,
-                     is_induced_cycle, is_two_colourable, petersen_edges,
-                     triangle_count_trace)
+from oracles import (GEM_EDGES, chordless_cycles_oracle, complement_edges,
+                     edge_set, has_gem, is_gem, is_induced_cycle,
+                     is_two_colourable, petersen_edges, triangle_count_trace)
 
 
 def small_graphs(max_n=7):
@@ -42,12 +41,18 @@ def test_rejects_loops_and_out_of_range():
 def test_accessors_on_square():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
-    assert sorted(g.neighbors(0)) == [1, 3]
     assert [g.degree(v) for v in range(4)] == [2, 2, 2, 2]
     assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert g.edge_count == 4
     assert Graph(4, [(2, 3), (0, 3), (1, 2), (1, 0)]) == g
     assert hash(Graph(4, g.edges())) == hash(g)
+
+
+def test_repr_shows_the_masks():
+    # A mask can hold a vertex's own bit (through _from_masks), which the
+    # edge list does not show; unequal graphs must not print alike.
+    assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, adj=(2, 1, 0))"
+    looped = Graph._from_masks(1, [1])
+    assert looped != Graph(1) and repr(looped) != repr(Graph(1))
 
 
 def test_complement_of_square_is_perfect_matching():
@@ -78,7 +83,7 @@ def test_complement_matches_oracle(g):
 
 @given(small_graphs())
 def test_degree_sum_is_twice_edge_count(g):
-    assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count
+    assert sum(g.degree(v) for v in range(g.n)) == 2 * len(g.edges())
 
 
 # -- cycles -------------------------------------------------------------------
@@ -160,28 +165,32 @@ def test_triangles_are_sorted_cliques():
     assert triangles(g) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
-def test_find_subgraph_is_not_induced_containment():
-    # K4 contains C4 as a subgraph even though it has no induced square.
-    m = find_subgraph(complete_graph(4), cycle_graph(4))
-    assert m is not None and len(set(m)) == 4
-    assert contains_subgraph(Graph(10, petersen_edges()), path_graph(6))
-    assert not contains_subgraph(Graph(10, petersen_edges()), complete_graph(3))
+def test_find_gem_is_not_induced_containment():
+    # K5 has no induced gem, but a gem plus three chords; the wheel on a
+    # four-cycle has one through the cycle's non-induced P4.
+    k5 = complete_graph(5)
+    assert is_gem(k5.edges(), find_gem(k5))
+    wheel = Graph(5, list(cycle_graph(4).edges()) + [(v, 4) for v in range(4)])
+    assert is_gem(wheel.edges(), find_gem(wheel))
+    assert find_gem(complete_graph(4)) is None
+    assert find_gem(Graph(10, petersen_edges())) is None
 
 
-def test_find_subgraph_maps_edges_onto_edges():
-    g = Graph(10, petersen_edges())
-    pattern = cycle_graph(6)
-    m = find_subgraph(g, pattern)
-    assert m is not None
-    for u, v in pattern.edges():
-        assert g.has_edge(m[u], m[v])
+def test_find_gem_returns_a_gem():
+    # Vertex i of the returned tuple plays the gem's vertex i: the path
+    # 0-1-2-3 and the hub 4.
+    assert find_gem(Graph(5, GEM_EDGES)) == (0, 1, 2, 3, 4)
+    relabel = (3, 0, 4, 2, 1)
+    moved = Graph(5, [(relabel[u], relabel[v]) for u, v in GEM_EDGES])
+    assert is_gem(moved.edges(), find_gem(moved))
 
 
-def test_gem_graph_shape():
-    gem = gem_graph()
-    assert gem.n == 5
-    assert sorted(gem.degree(v) for v in range(5)) == [2, 2, 3, 3, 4]
-    assert len(triangles(gem)) == 3
+@given(small_graphs())
+@settings(max_examples=80)
+def test_find_gem_matches_oracle(g):
+    gem = find_gem(g)
+    assert (gem is not None) == has_gem(g.n, g.edges())
+    assert gem is None or is_gem(g.edges(), gem)
 
 
 # -- induced paths -------------------------------------------------------------

@@ -10,8 +10,7 @@ from holesandwich import recognition
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import Graph
 from holesandwich.recognition import (PROPERTY_IDS, Certificate, check,
-                                      first_violation, is_chordal,
-                                      verify_certificate)
+                                      first_violation, verify_certificate)
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, path_graph)
 
@@ -28,7 +27,7 @@ def test_property_ids_frozen():
 # -- frozen examples ----------------------------------------------------------
 
 def test_square_is_not_chordal():
-    ok, cert = is_chordal(cycle_graph(4))
+    ok, cert = check(cycle_graph(4), "chordal")
     assert not ok
     assert cert.kind == "hole" and sorted(cert.vertices) == [0, 1, 2, 3]
 
@@ -36,7 +35,7 @@ def test_square_is_not_chordal():
 def test_complete_graphs_are_chordal_with_peo():
     for n in (1, 2, 5, 8):
         g = complete_graph(n)
-        ok, cert = is_chordal(g)
+        ok, cert = check(g, "chordal")
         assert ok and cert.kind == "peo"
         assert verify_certificate(g, "chordal", ok, cert)
 
@@ -47,7 +46,7 @@ def test_positive_orientation_triangulates_the_six_cycle():
     # chords leave no hole.
     ring = [(i, (i + 1) % 6) for i in range(6)]
     g = Graph(6, ring + [(0, 4), (4, 1), (1, 3)])
-    ok, cert = is_chordal(g)
+    ok, cert = check(g, "chordal")
     assert ok
     assert verify_certificate(g, "chordal", ok, cert)
 
@@ -95,6 +94,23 @@ def test_five_cycle_violates_both_self_complementary_properties():
     # A certificate naming a vertex outside the graph is false, not an error.
     assert not verify_certificate(g, "c5-free", False,
                                   Certificate("hole", (0, 1, 2, 3, -1)))
+
+
+def test_certificates_must_match_the_table():
+    # A certificate is checked against the kind, parity and length of the
+    # property's forbidden structures.
+    square, c5, c6 = cycle_graph(4), cycle_graph(5), cycle_graph(6)
+    hole = Certificate("hole", (0, 1, 2, 3))
+    assert verify_certificate(square, "even-hole-free", False, hole)
+    assert verify_certificate(square, "chordal", False, hole)
+    for prop in ("c5-free", "odd-hole-free", "odd-antihole-free", "berge"):
+        assert not verify_certificate(square, prop, False, hole)
+    five = Certificate("hole", tuple(range(5)))
+    assert verify_certificate(c5, "berge", False, five)
+    assert not verify_certificate(c5, "berge", False, five._replace(kind="peo"))
+    six = Certificate("hole", tuple(range(6)))
+    assert not verify_certificate(c6, "odd-hole-free", False, six)
+    assert not verify_certificate(c6, "c5-free", False, six)
 
 
 def test_seven_antihole_caught_only_by_antihole_properties():
@@ -147,12 +163,12 @@ def test_certificates_reverify(g):
 
 @given(small_graphs())
 def test_chordal_matches_empty_cycle_list(g):
-    assert is_chordal(g)[0] == (not chordless_cycles(g))
+    assert check(g, "chordal")[0] == (not chordless_cycles(g))
 
 
 @given(small_graphs())
 def test_chordal_implies_hole_free_properties(g):
-    if is_chordal(g)[0]:
+    if check(g, "chordal")[0]:
         for prop in ("c5-free", "odd-hole-free", "even-hole-free"):
             assert check(g, prop)[0]
 
@@ -207,6 +223,15 @@ def test_tiny_budget_exhausts():
     g = Graph(24, [(i, (i + 1) % 24) for i in range(24)]).complement()
     with pytest.raises(BudgetExhausted):
         check(g, "even-hole-free", budget=1)
+
+
+def test_c5_scan_spends_the_budget():
+    # The five-subset scan pays for the C(n-a-1, 4) subsets whose smallest
+    # vertex is a before it scans them: C(39, 4) = 82,251 at a = 0.
+    k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    with pytest.raises(BudgetExhausted):
+        check(k20, "c5-free", budget=1000)
+    assert check(k20, "c5-free") == (True, None)
 
 
 def test_unknown_property_rejected():

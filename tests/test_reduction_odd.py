@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesandwich.cnf import CnfFormula, all_assignments
-from holesandwich.graph import Cycle
 from holesandwich.recognition import check
 from holesandwich.reduction_odd import (GadgetError, build_c5_instance,
                                         build_odd_hole_free_instance,
@@ -149,9 +148,8 @@ def test_empty_completion_leaves_induced_five_cycles():
     g = inst.realize(frozenset())
     ok, cert = check(g, "c5-free")
     assert not ok and len(cert.vertices) == 5
-    with pytest.raises(GadgetError) as info:
+    with pytest.raises(GadgetError, match="variable 1 five-cycle has no chord"):
         extract_assignment(gmap, g)
-    assert isinstance(info.value.witness, Cycle)
 
 
 def test_extraction_prefers_true_chord():

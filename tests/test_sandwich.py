@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesandwich import reduction_even, sandwich
+from holesandwich.cnf import CnfFormula
 from holesandwich.graph import Graph
-from holesandwich.recognition import check
-from holesandwich.sandwich import (SOLVABLE_PROPERTY_IDS, Completion,
-                                   SandwichInstance, complement_instance,
-                                   depth_first, solve)
+from holesandwich.recognition import PROPERTY_IDS, check
+from holesandwich.reduction_even import (build_even_instance,
+                                         solve_with_orientations)
+from holesandwich.sandwich import (Completion, SandwichInstance,
+                                   complement_instance, depth_first, solve)
 from holesandwich.verify import (brute_force_solve, cycle_graph,
                                  is_sandwich_graph)
 
@@ -82,8 +85,8 @@ def test_realize_rejects_non_optional_edges():
 
 def test_g1_g2_bounds():
     inst = SandwichInstance(4, SQUARE, {(0, 2)})
-    assert inst.g1().edge_count == 4
-    assert inst.g2().edge_count == 5
+    assert len(inst.g1().edges()) == 4
+    assert len(inst.g2().edges()) == 5
     assert is_sandwich_graph(inst, inst.g1())
     assert is_sandwich_graph(inst, inst.g2())
     assert not is_sandwich_graph(inst, Graph(4, [(0, 1)]))   # missing forced
@@ -159,12 +162,12 @@ def test_forced_only_satisfaction_is_sat():
     assert check(g, "chordal")[0]
 
 
-def test_solve_rejects_berge_and_bad_instances():
+def test_solvers_reject_unknown_properties():
     inst = SandwichInstance(4, SQUARE, set())
-    with pytest.raises(ValueError):
-        solve(inst, "berge")
-    with pytest.raises(ValueError):
-        brute_force_solve(inst, "berge")
+    with pytest.raises(ValueError, match="unknown property id 'planar'"):
+        solve(inst, "planar", budget=0)
+    with pytest.raises(ValueError, match="unknown property id 'planar'"):
+        brute_force_solve(inst, "planar")
 
 
 def test_brute_force_caps_optional_at_twenty():
@@ -182,9 +185,43 @@ def test_budget_verdict():
     chords = set(combinations(range(9), 2)) - ring - {(0, 2)}
     inst = SandwichInstance(9, ring, chords)
     assert solve(inst, "chordal", budget=1).verdict == "BUDGET"
-    unlimited = solve(inst, "chordal", budget=None, check_budget=None)
+    unlimited = solve(inst, "chordal", budget=None)
     assert unlimited.verdict == "SAT"
     assert check(inst.realize(unlimited.completion.chosen), "chordal")[0]
+
+
+def test_finite_budgets_cap_each_violation_search(monkeypatch):
+    # A finite node budget caps each violation search at the solvers'
+    # DEFAULT_CHECK_BUDGET binding; None leaves both unlimited.
+    ring = {tuple(sorted((i, (i + 1) % 9))) for i in range(9)}
+    chords = set(combinations(range(9), 2)) - ring - {(0, 2)}
+    inst = SandwichInstance(9, ring, chords)
+    formula = CnfFormula(3, ((1, -2, 3),))
+    even, gmap = build_even_instance(formula)
+    monkeypatch.setattr(sandwich, "DEFAULT_CHECK_BUDGET", 1)
+    monkeypatch.setattr(reduction_even, "DEFAULT_CHECK_BUDGET", 1)
+    assert solve(inst, "chordal").verdict == "BUDGET"
+    assert solve(inst, "chordal", budget=None).verdict == "SAT"
+    assert solve_with_orientations(formula, even, gmap).verdict == "BUDGET"
+    assert solve_with_orientations(formula, even, gmap,
+                                   budget=None).verdict == "SAT"
+
+
+def test_berge_is_solved_exactly():
+    # A forced five-cycle is an odd hole: any one chord breaks it, and with
+    # no chord optional nothing can.  The complement of a seven-cycle is an
+    # odd antihole, broken by adding one pair of the cycle.
+    ring = [(i, (i + 1) % 5) for i in range(5)]
+    hole = SandwichInstance(5, ring, [(i, (i + 2) % 5) for i in range(5)])
+    result = solve(hole, "berge")
+    assert result.verdict == "SAT"
+    assert check(hole.realize(result.completion.chosen), "berge")[0]
+    assert solve(SandwichInstance(5, ring, []), "berge").verdict == "UNSAT"
+    antihole = SandwichInstance(7, cycle_graph(7).complement().edges(),
+                                [(0, 1)])
+    result = solve(antihole, "berge")
+    assert (result.verdict, result.completion.chosen) == ("SAT", {(0, 1)})
+    assert solve(antihole._replace(optional=[]), "berge").verdict == "UNSAT"
 
 
 def test_depth_first_order_nodes_and_frontier():
@@ -251,8 +288,7 @@ def test_waiting_states_share_their_decisions():
     assert peaks[1] < 3.2 * peaks[0], peaks
 
 
-@given(instances(max_n=6, max_optional=8),
-       st.sampled_from(SOLVABLE_PROPERTY_IDS))
+@given(instances(max_n=6, max_optional=8), st.sampled_from(PROPERTY_IDS))
 @settings(max_examples=60, deadline=None)
 def test_solve_matches_subset_oracle(inst, prop):
     want = sandwich_oracle(inst.n, inst.forced, inst.optional, prop)
@@ -264,8 +300,7 @@ def test_solve_matches_subset_oracle(inst, prop):
         assert check(g, prop)[0]
 
 
-@given(instances(max_n=6, max_optional=8),
-       st.sampled_from(SOLVABLE_PROPERTY_IDS))
+@given(instances(max_n=6, max_optional=8), st.sampled_from(PROPERTY_IDS))
 @settings(max_examples=40, deadline=None)
 def test_brute_force_matches_subset_oracle(inst, prop):
     want = sandwich_oracle(inst.n, inst.forced, inst.optional, prop)

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from holesandwich.cnf import CnfFormula
+from holesandwich.cnf import CnfError, CnfFormula
 from holesandwich.graph import Cycle
 from holesandwich.recognition import Certificate
 from holesandwich.sandwich import Completion, SandwichInstance, SolveResult
@@ -65,6 +65,19 @@ def test_different_values_differ():
         SandwichInstance(4, SQUARE, {(0, 2)})
     assert SolveResult("SAT", None, 3) != SolveResult("SAT", None, 4)
     assert CnfFormula(3, ((1, 2, 3),)) != CnfFormula(4, ((1, 2, 3),))
+
+
+def test_replace_goes_through_the_checks():
+    inst = SandwichInstance(3, [(0, 1)], [(1, 2)])
+    assert inst._replace(forced=[(2, 0)]) == \
+        SandwichInstance(3, [(0, 2)], [(1, 2)])
+    with pytest.raises(ValueError, match=r"forced edge \(0, 0\) is a loop"):
+        inst._replace(forced={(0, 0)})
+    formula = CnfFormula(3, [(1, 2, 3)])
+    assert formula._replace(clauses=[[3, -2, 1]]) == \
+        CnfFormula(3, ((3, -2, 1),))
+    with pytest.raises(CnfError, match="clause 1 has 2 literals"):
+        formula._replace(clauses=((1, 2),))
 
 
 def test_cycle_equals_its_rotations_and_reflections_only():
