@@ -169,8 +169,9 @@ def canonical_rotation(vertices):
     return best
 
 
-def iter_chordless_cycles(g, min_len=4, budget=None, max_len=None):
-    """Yield every chordless cycle of length >= min_len exactly once.
+def iter_chordless_cycles(g, budget=None, length=None):
+    """Yield every chordless cycle of length >= 4, or of exactly `length`
+    when it is given, exactly once.
 
     Search strategy: grow chordless paths anchored at their smallest vertex.
     A path [a, b, ..., t] keeps every vertex above the anchor a, allows no
@@ -180,11 +181,12 @@ def iter_chordless_cycles(g, min_len=4, budget=None, max_len=None):
     the traversal direction, so each cycle appears once, in canonical order.
 
     `budget` is a Budget counting path expansions; exhaustion raises
-    BudgetExhausted.  `max_len` prunes paths that could only close into longer
-    cycles (used for targeted C5 searches).
+    BudgetExhausted.  A given `length` also prunes paths that could only
+    close into longer cycles (used for targeted C5 searches).
     """
     if budget is None:
         budget = Budget(None)
+    shortest = length or 4
     adj = g.adj
     for a in range(g.n):
         low = (1 << (a + 1)) - 1
@@ -199,9 +201,9 @@ def iter_chordless_cycles(g, min_len=4, budget=None, max_len=None):
                 tail = path[-1]
                 closing = adj[tail] & adj[a] & ~block
                 for y in _bits(closing):
-                    if y > path[1] and len(path) + 1 >= min_len:
+                    if y > path[1] and len(path) + 1 >= shortest:
                         yield Cycle(path + (y,))
-                if max_len is not None and len(path) + 1 >= max_len:
+                if length is not None and len(path) + 1 >= length:
                     continue
                 extending = adj[tail] & ~block & ~adj[a]
                 # Reversed push order so the smallest candidate pops first.

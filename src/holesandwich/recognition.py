@@ -79,6 +79,12 @@ def verify_certificate(g, prop, verdict, cert):
     """Re-check a (verdict, certificate) pair against the graph it came from."""
     if prop not in FORBIDDEN:
         raise ValueError("unknown property id %r" % (prop,))
+    # A vertex is an int but no bool; anything else would fail the
+    # comparisons below with TypeError instead of being rejected.
+    if cert is not None and not all(
+            isinstance(v, int) and not isinstance(v, bool)
+            for v in cert.vertices):
+        return False
     if verdict:
         if prop == "chordal":
             return cert is not None and cert.kind == "peo" and _verify_peo(g, cert.vertices)
@@ -178,8 +184,7 @@ def _verify_peo(g, order):
 def _first_cycle(g, budget, shape):
     """Vertices of the first chordless cycle of `g` of a FORBIDDEN entry's
     shape, or None; a length-5 search grows no longer paths."""
-    exact = 5 if shape == 5 else None
-    for cyc in iter_chordless_cycles(g, exact or 4, budget, exact):
+    for cyc in iter_chordless_cycles(g, budget, 5 if shape == 5 else None):
         if _fits(cyc.length, shape):
             return cyc.vertices
     return None

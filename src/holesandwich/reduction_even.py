@@ -299,8 +299,7 @@ def propagate_orientations(inst, gmap, decided):
         contradictions = []
 
         def force(u, v, val):
-            if state[u * n + v] != UND:
-                return
+            # Every caller has seen the pair undecided this round.
             e = normalized_edge(u, v)
             if e in batch and batch[e] != val:
                 # Conflicting derivations: keep the in-decision; the

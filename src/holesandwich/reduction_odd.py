@@ -2,29 +2,30 @@
 
 The construction makes a sandwich graph C5-free exactly when the formula is
 satisfiable, then hands the odd-hole-free case to the complement transform.
-Everything is built out of one primitive: a five-cycle of forced edges whose
-only non-forbidden chords are optional, so any C5-free sandwich graph must
-contain at least one of them.
+Everything is built out of one primitive, `gadget`: a five-cycle whose edges
+are forced except its breakers, the optional pairs that can break it.  The
+breakers are chords (variable, guard, repeater), which a C5-free sandwich
+graph must add one of, or cycle edges (clause, links), which it must omit
+one of; every other chord is forbidden.  Two chords are placed as (g0,g2)
+and (g1,g3), the one placement where the two resulting triangles of the
+allowed graph share a single forced edge.
 
-Gadgets (all five-cycles below are forced, with optional chords (g0,g2) and
-(g1,g3), the one placement where the two resulting triangles of the allowed
-graph share a single forced edge):
+Gadgets:
 
 * variable gadget: five-cycle per variable; chord (x0,x2) is the true-chord,
   (x1,x3) the false-chord.  At least one chord appears in every C5-free
   sandwich graph; extraction reads "true iff true-chord present".
 * clause cycle p1..p5: optional edges p1p2, p2p3, p3p4 (one per literal,
-  together a three-edge optional path) and forced p4p5, p5p1.  All chords are
-  forbidden, so some optional edge must be missing from a C5-free sandwich
-  graph.
-* guard gadget per literal slot q: forced five-cycle (p_q, z_q, t_q, p_{q+1},
-  l_q) whose optional chords are the release edge (t_q, l_q) and the clause
-  edge (p_q, p_{q+1}): dropping clause edge q requires the release edge.
+  together a three-edge optional path) and forced p4p5, p5p1.  Some optional
+  edge must be missing from a C5-free sandwich graph.
+* guard gadget per literal slot q: five-cycle (p_q, z_q, t_q, p_{q+1}, l_q)
+  whose breakers are the release edge (t_q, l_q) and the clause edge
+  (p_q, p_{q+1}): dropping clause edge q requires the release edge.
 * two repeater five-cycles per literal occurrence, chained to the variable
-  gadget through not-both links.  A link is a five-cycle with two optional
-  non-adjacent cycle edges, three forced edges, and one unlabeled connector
-  vertex sitting on a forced two-edge path; it forbids both optional edges
-  being present together.  The chain
+  gadget through not-both links.  A link is a five-cycle whose breakers are
+  two non-adjacent cycle edges, with one unlabeled connector vertex sitting
+  on a forced two-edge path; it forbids both optional edges being present
+  together.  The chain
 
       release ⊗ sA,  sB ⊗ rA,  rB ⊗ (opposite-polarity variable chord)
 
@@ -37,8 +38,6 @@ graph share a single forced edge):
 
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
 
-REPEATER_SIDES = ("var", "clause")
-
 
 class GadgetError(Exception):
     """An assignment or a realized graph the gadgets cannot translate."""
@@ -47,51 +46,22 @@ class GadgetError(Exception):
 class OddGadgetMap:
     """Vertex roles of a built instance, keyed the way the builder thinks.
 
-    Vertex tuples are in cycle order.  repeater_chords values are
-    (outward_chord, inward_chord): outward faces the clause, inward faces the
-    variable.  link_cycles holds the three not-both five-cycles per literal
-    occurrence, in release-to-variable order.
+    five_cycles lists every gadget five-cycle once, in build order, as
+    (vertices in cycle order, breakers): with its breakers it is the
+    instance's entire constraint system, and verify.five_cycle_census checks
+    that no other five-cycle can become induced.  repeater_chords values are
+    (outward_chord, inward_chord): outward faces the clause, inward faces
+    the variable.
     """
 
     def __init__(self, num_vars, clauses):
         self.num_vars, self.clauses = num_vars, clauses
-        self.variable_cycle = {}   # var -> 5 vertices
         self.true_chord = {}       # var -> edge
         self.false_chord = {}      # var -> edge
-        self.clause_cycle = {}     # clause -> (p1..p5)
         self.clause_edges = {}     # clause -> 3 optional edges
-        self.guard_cycle = {}      # (clause, q) -> 5 vertices
         self.release_edge = {}     # (clause, q) -> edge
-        self.repeater_cycle = {}   # (clause, q, side) -> 5 vertices
         self.repeater_chords = {}  # (clause, q, side) -> (out, in)
-        self.link_cycles = {}      # (clause, q) -> 3 cycles
-
-    def gadget_five_cycles(self):
-        """Every five-cycle that can become an induced C5, with the optional
-        pairs that can break it.  This is the instance's entire constraint
-        system; a census test checks nothing else can form a C5."""
-        for i, cyc in self.variable_cycle.items():
-            yield cyc, (self.true_chord[i], self.false_chord[i])
-        for j, cyc in self.clause_cycle.items():
-            yield cyc, self.clause_edges[j]
-        for key, cyc in self.guard_cycle.items():
-            j, q = key
-            yield cyc, (self.release_edge[key], self.clause_edges[j][q - 1])
-        for key, cyc in self.repeater_cycle.items():
-            yield cyc, self.repeater_chords[key]
-        for key, cycles in self.link_cycles.items():
-            j, q = key
-            lit = self.clauses[j - 1][q - 1]
-            var_chord = (self.false_chord[abs(lit)] if lit > 0
-                         else self.true_chord[abs(lit)])
-            pairs = (
-                (self.release_edge[key], self.repeater_chords[(j, q, "clause")][0]),
-                (self.repeater_chords[(j, q, "clause")][1],
-                 self.repeater_chords[(j, q, "var")][0]),
-                (self.repeater_chords[(j, q, "var")][1], var_chord),
-            )
-            for cyc, pair in zip(cycles, pairs):
-                yield cyc, pair
+        self.five_cycles = []      # (5 vertices, breakers) per gadget
 
 
 def build_c5_instance(formula):
@@ -104,79 +74,57 @@ def build_c5_instance(formula):
     names = []
     forced = set()
     optional = set()
+    gmap = OddGadgetMap(formula.num_vars, formula.clauses)
 
     def add_vertex(name):
         names.append(name)
         return len(names) - 1
 
-    def five_cycle(vertices):
-        for idx in range(5):
-            forced.add(normalized_edge(vertices[idx], vertices[(idx + 1) % 5]))
-
-    gmap = OddGadgetMap(formula.num_vars, formula.clauses)
+    def gadget(cycle, *breakers):
+        # The primitive: `cycle`'s edges are forced except its breakers,
+        # given as position pairs, which are optional.
+        pairs = tuple(normalized_edge(cycle[a], cycle[b]) for a, b in breakers)
+        optional.update(pairs)
+        forced.update(e for e in (normalized_edge(cycle[k - 1], cycle[k])
+                                  for k in range(5)) if e not in pairs)
+        gmap.five_cycles.append((cycle, pairs))
+        return pairs
 
     for i in range(1, formula.num_vars + 1):
         cyc = tuple(add_vertex("x%d.%d" % (i, k)) for k in range(5))
-        five_cycle(cyc)
-        gmap.variable_cycle[i] = cyc
-        gmap.true_chord[i] = normalized_edge(cyc[0], cyc[2])
-        gmap.false_chord[i] = normalized_edge(cyc[1], cyc[3])
-        optional.update((gmap.true_chord[i], gmap.false_chord[i]))
+        gmap.true_chord[i], gmap.false_chord[i] = gadget(cyc, (0, 2), (1, 3))
 
     for j, clause in enumerate(formula.clauses, start=1):
         p = tuple(add_vertex("c%d.p%d" % (j, k)) for k in range(1, 6))
-        gmap.clause_cycle[j] = p
-        # Clause cycle: p1p2/p2p3/p3p4 optional (edge q belongs to literal q),
-        # p4p5/p5p1 forced; chords all forbidden.
-        clause_edges = tuple(normalized_edge(p[q - 1], p[q]) for q in (1, 2, 3))
-        optional.update(clause_edges)
-        forced.add(normalized_edge(p[3], p[4]))
-        forced.add(normalized_edge(p[4], p[0]))
-        gmap.clause_edges[j] = clause_edges
+        # Edge p_q p_{q+1} belongs to literal q.
+        gmap.clause_edges[j] = gadget(p, (0, 1), (1, 2), (2, 3))
 
         for q, lit in enumerate(clause, start=1):
-            i = abs(lit)
             lv = add_vertex("c%d.l%d" % (j, q))
             tv = add_vertex("c%d.t%d" % (j, q))
             zv = add_vertex("c%d.z%d" % (j, q))
-            guard = (p[q - 1], zv, tv, p[q], lv)
-            five_cycle(guard)
-            release = normalized_edge(tv, lv)
-            optional.add(release)
-            gmap.guard_cycle[(j, q)] = guard
-            gmap.release_edge[(j, q)] = release
+            gmap.release_edge[(j, q)], _ = gadget(
+                (p[q - 1], zv, tv, p[q], lv), (2, 4), (0, 3))
 
             reps = {}
-            for side in REPEATER_SIDES:
+            for side in ("var", "clause"):
                 cyc = tuple(add_vertex("c%d.q%d.%s%d" % (j, q, side[0], k))
                             for k in range(5))
-                five_cycle(cyc)
-                outward = normalized_edge(cyc[0], cyc[2])
-                inward = normalized_edge(cyc[1], cyc[3])
-                optional.update((outward, inward))
-                gmap.repeater_cycle[(j, q, side)] = cyc
-                gmap.repeater_chords[(j, q, side)] = (outward, inward)
+                gmap.repeater_chords[(j, q, side)] = gadget(cyc, (0, 2), (1, 3))
                 reps[side] = cyc
 
             a1, a2, a3 = (add_vertex("c%d.q%d.a%d" % (j, q, k))
                           for k in (1, 2, 3))
-
             crep, vrep = reps["clause"], reps["var"]
-            xcyc = gmap.variable_cycle[i]
-            # Chord endpoints the variable-side link attaches to: the
-            # false-chord (x1,x3) for a positive literal, the true-chord
-            # (x0,x2) for a negative one.
-            xa, xb = (xcyc[1], xcyc[3]) if lit > 0 else (xcyc[0], xcyc[2])
-
-            link1 = (tv, lv, a1, crep[2], crep[0])
-            link2 = (crep[1], crep[3], a2, vrep[2], vrep[0])
-            link3 = (vrep[1], vrep[3], a3, xb, xa)
-            for cyc in (link1, link2, link3):
-                # Cycle edges 1 and 4 are the optional pair; 2, 3, 5 forced.
-                forced.add(normalized_edge(cyc[1], cyc[2]))
-                forced.add(normalized_edge(cyc[2], cyc[3]))
-                forced.add(normalized_edge(cyc[4], cyc[0]))
-            gmap.link_cycles[(j, q)] = (link1, link2, link3)
+            # The variable-side link attaches to the chord of the opposite
+            # polarity: the false-chord for a positive literal, the
+            # true-chord for a negative one.
+            xa, xb = (gmap.false_chord if lit > 0 else gmap.true_chord)[abs(lit)]
+            # Not-both links: cycle edges 0-1 and 3-4 are the breakers.
+            for link in ((tv, lv, a1, crep[2], crep[0]),
+                         (crep[1], crep[3], a2, vrep[2], vrep[0]),
+                         (vrep[1], vrep[3], a3, xb, xa)):
+                gadget(link, (0, 1), (3, 4))
 
     inst = SandwichInstance(len(names), forced, optional, names)
     return inst, gmap

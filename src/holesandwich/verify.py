@@ -45,13 +45,13 @@ class CriterionResult(namedtuple("CriterionResult",
 
 # -- graph reference searches -----------------------------------------------
 
-def chordless_cycles(g, min_len=4, budget=None):
-    """All chordless cycles of length >= min_len, canonical and deduplicated.
+def chordless_cycles(g, budget=None):
+    """All chordless cycles of length >= 4, canonical and deduplicated.
 
     `budget` is a step count (int) or None for unlimited; exhaustion raises
     BudgetExhausted.
     """
-    return sorted(iter_chordless_cycles(g, min_len, Budget(budget)),
+    return sorted(iter_chordless_cycles(g, Budget(budget)),
                   key=lambda c: (c.length, c.vertices))
 
 
@@ -157,23 +157,9 @@ def brute_force_solve(inst, prop):
     if len(optional) > BRUTE_FORCE_MAX_OPTIONAL:
         raise ValueError("instance has %d optional edges; brute force is "
                          "capped at %d" % (len(optional), BRUTE_FORCE_MAX_OPTIONAL))
-    base = [0] * inst.n
-    for u, v in inst.forced:
-        base[u] |= 1 << v
-        base[v] |= 1 << u
     for mask in range(1 << len(optional)):
-        adj = list(base)
-        chosen = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u, v = optional[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            chosen.append((u, v))
-            rest ^= low
-        g = Graph._from_masks(inst.n, adj)
-        ok, _ = check(g, prop)
+        chosen = [optional[i] for i in _bits(mask)]
+        ok, _ = check(inst.realize(chosen), prop)
         if ok:
             return SolveResult("SAT", Completion(frozenset(chosen)), mask + 1)
     return SolveResult("UNSAT", None, 1 << len(optional))
@@ -187,14 +173,12 @@ def five_cycle_census(inst, gmap):
     Walks all cyclic 5-vertex sequences that are cycles in the allowed graph
     (induced or not) and returns (safe, intended, rogue): cycles with a
     forced chord can never be induced in a sandwich graph; the rest must be
-    the gadget cycles listed by the map, else the reduction's forward
+    the gadget cycles the map records, else the reduction's forward
     direction would have unplanned C5 obligations.  Tests assert rogue is
     empty.
     """
     g2 = inst.g2()
-    catalog = {}
-    for cyc, pair in gmap.gadget_five_cycles():
-        catalog[Cycle(cyc)] = pair
+    catalog = {Cycle(cyc) for cyc, _ in gmap.five_cycles}
     safe = []
     intended = []
     rogue = []
@@ -416,10 +400,9 @@ def _random_formula(rng, max_vars, max_clauses):
 # -- criteria ---------------------------------------------------------------
 
 def recognition_matches_oracle(seed=DEFAULT_SEED):
-    """1: check agrees with the subset-scan oracle on all 6-vertex graphs."""
+    """check agrees with the subset-scan oracle on all 6-vertex graphs."""
     pairs = list(combinations(range(6), 2))
-    mismatches = 0
-    first = ""
+    failures = []
     for mask in range(1 << 15):
         edges = [pairs[i] for i in range(15) if mask >> i & 1]
         lengths = _full_hole_lengths(6, edges)
@@ -433,19 +416,15 @@ def recognition_matches_oracle(seed=DEFAULT_SEED):
         for prop, want in expected.items():
             got, _ = check(g, prop)
             if got != want:
-                mismatches += 1
-                if not first:
-                    first = "mask=%d prop=%s" % (mask, prop)
-    detail = "32768 graphs x 4 properties, %d mismatches" % mismatches
-    if first:
-        detail += " (first: %s)" % first
-    return CriterionResult(1, "recognition-oracle", mismatches == 0, detail)
+                failures.append("mask=%d prop=%s" % (mask, prop))
+    return ("32768 graphs x 4 properties, %d mismatches" % len(failures),
+            failures)
 
 
 def duality_agreement(seed=DEFAULT_SEED):
-    """2: brute-force solvability respects the complement transform."""
+    """Brute-force solvability respects the complement transform."""
     rng = random.Random(seed)
-    disagreements = 0
+    failures = []
     for _ in range(200):
         inst = _random_instance(rng, 10, 12)
         comp = complement_instance(inst)
@@ -454,14 +433,13 @@ def duality_agreement(seed=DEFAULT_SEED):
             a = brute_force_solve(inst, prop).verdict
             b = brute_force_solve(comp, co_prop).verdict
             if a != b:
-                disagreements += 1
-    detail = "200 instances x 2 directions, %d disagreements, seed=%d" % (
-        disagreements, seed)
-    return CriterionResult(2, "complement-duality", disagreements == 0, detail)
+                failures.append("%s %s vs %s %s" % (prop, a, co_prop, b))
+    return ("200 instances x 2 directions, %d disagreements, seed=%d"
+            % (len(failures), seed), failures)
 
 
 def solver_matches_brute_force(seed=DEFAULT_SEED):
-    """3: solve agrees with brute_force_solve; SAT completions re-verify."""
+    """solve agrees with brute_force_solve; SAT completions re-verify."""
     rng = random.Random(seed)
     failures = []
     cases = 0
@@ -480,33 +458,26 @@ def solver_matches_brute_force(seed=DEFAULT_SEED):
                 ok, _ = check(g, prop)
                 if not (ok and is_sandwich_graph(inst, g)):
                     failures.append("%s SAT completion failed re-check" % prop)
-    detail = "%d cases, %d failures, seed=%d" % (cases, len(failures), seed)
-    if failures:
-        detail += " (first: %s)" % failures[0]
-    return CriterionResult(3, "solver-exactness", not failures, detail)
+    return ("%d cases, %d failures, seed=%d" % (cases, len(failures), seed),
+            failures)
 
 
 def odd_instance_invariants(seed=DEFAULT_SEED):
-    """4: structural_report passes on random formulas' five-cycle instances."""
+    """structural_report passes on random formulas' five-cycle instances."""
     rng = random.Random(seed)
-    bad = 0
-    first = ""
+    failures = []
     for _ in range(100):
         formula = _random_formula(rng, 6, 6)
         inst, _ = build_c5_instance(formula)
         report = structural_report(inst)
         if not report.all_ok():
-            bad += 1
-            if not first:
-                first = repr(formula.clauses)
-    detail = "100 formulas, %d with failing reports, seed=%d" % (bad, seed)
-    if first:
-        detail += " (first: %s)" % first
-    return CriterionResult(4, "odd-structural-invariants", bad == 0, detail)
+            failures.append(repr(formula.clauses))
+    return ("100 formulas, %d with failing reports, seed=%d"
+            % (len(failures), seed), failures)
 
 
 def odd_single_clause_end_to_end(seed=DEFAULT_SEED):
-    """5: every single-clause formula solves SAT via the five-cycle instance,
+    """Every single-clause formula solves SAT via the five-cycle instance,
     extraction satisfies the clause, and the realized graph is
     odd-antihole-free with no induced complement-of-P6."""
     failures = []
@@ -527,14 +498,11 @@ def odd_single_clause_end_to_end(seed=DEFAULT_SEED):
             failures.append("%s: realized graph has an odd antihole" % (clause,))
         if find_induced_path(g.complement(), 6) is not None:
             failures.append("%s: complement has an induced P6" % (clause,))
-    detail = "8 polarity patterns, %d failures" % len(failures)
-    if failures:
-        detail += " (first: %s)" % failures[0]
-    return CriterionResult(5, "odd-end-to-end", not failures, detail)
+    return "8 polarity patterns, %d failures" % len(failures), failures
 
 
 def even_forward_direction(seed=DEFAULT_SEED):
-    """6: single-clause completions are even-hole-free exactly for satisfying
+    """Single-clause completions are even-hole-free exactly for satisfying
     assignments; falsifying ones leave a knee four-hole."""
     failures = []
     cases = 0
@@ -563,14 +531,11 @@ def even_forward_direction(seed=DEFAULT_SEED):
             elif not (len(set(hole) & set(active)) == 2
                       and len(set(hole) & set(inactive)) == 2):
                 failures.append("%s %s: four-hole not split 2/2" % (clause, bits))
-    detail = "64 cases, %d failures" % len(failures)
-    if failures:
-        detail += " (first: %s)" % failures[0]
-    return CriterionResult(6, "even-forward-direction", not failures, detail)
+    return "64 cases, %d failures" % len(failures), failures
 
 
 def even_propagation_chain(seed=DEFAULT_SEED):
-    """7: all-negative orientations on one clause force the knee edges and
+    """All-negative orientations on one clause force the knee edges and
     end in the contradiction four-hole on the first two variables' knees."""
     formula = CnfFormula(3, ((1, 2, 3),))
     inst, gmap = build_even_instance(formula)
@@ -606,14 +571,11 @@ def even_propagation_chain(seed=DEFAULT_SEED):
             adj = _adjacency(inst.n, present)
             if not _subset_is_hole(adj, tuple(sorted(got))):
                 problems.append("certificate does not re-verify as a hole")
-    detail = "derived edges and contradiction certificate checked"
-    if problems:
-        detail = "; ".join(problems)
-    return CriterionResult(7, "even-propagation-chain", not problems, detail)
+    return "derived edges and contradiction certificate checked", problems
 
 
 def even_instance_census(seed=DEFAULT_SEED):
-    """8: the single-clause instance has the exact derived counts and shape."""
+    """The single-clause instance has the exact derived counts and shape."""
     formula = CnfFormula(3, ((1, 2, 3),))
     inst, gmap = build_even_instance(formula)
     problems = []
@@ -629,15 +591,12 @@ def even_instance_census(seed=DEFAULT_SEED):
     touched = [v for e in core_forbidden for v in e]
     if len(touched) != len(set(touched)):
         problems.append("forbidden pairs off the W path are not a matching")
-    detail = ("|V|=%d forced=%d forbidden=%d optional=%d, W degrees 2, "
-              "matching of %d" % (counts + (len(core_forbidden),)))
-    if problems:
-        detail = "; ".join(problems)
-    return CriterionResult(8, "even-instance-census", not problems, detail)
+    return ("|V|=%d forced=%d forbidden=%d optional=%d, W degrees 2, "
+            "matching of %d" % (counts + (len(core_forbidden),)), problems)
 
 
 def even_end_to_end(seed=DEFAULT_SEED):
-    """9: small satisfiable formulas solve SAT through orientation branching
+    """Small satisfiable formulas solve SAT through orientation branching
     and the extracted assignment satisfies them."""
     formulas = [CnfFormula(3, (tuple(s * v for s, v in zip(signs, (1, 2, 3))),))
                 for signs in product((1, -1), repeat=3)]
@@ -665,10 +624,8 @@ def even_end_to_end(seed=DEFAULT_SEED):
         if not formula.satisfied_by(assignment):
             failures.append("%s: extracted assignment falsifies"
                             % (formula.clauses,))
-    detail = "%d formulas, %d failures" % (len(formulas), len(failures))
-    if failures:
-        detail += " (first: %s)" % failures[0]
-    return CriterionResult(9, "even-end-to-end", not failures, detail)
+    return ("%d formulas, %d failures" % (len(formulas), len(failures)),
+            failures)
 
 
 SUITES = {
@@ -685,10 +642,19 @@ SUITES = {
 
 
 def run_suite(name, seed=DEFAULT_SEED):
-    """Run one named suite (or 'all'); returns a list of CriterionResult."""
-    if name == "all":
-        return [fn(seed) for fn in SUITES.values()]
-    if name not in SUITES:
+    """Run one named suite (or 'all'); returns a list of CriterionResult.
+
+    A suite returns (summary, failures); its result is numbered by its place
+    in SUITES, named by its key, and passes when no failure is listed.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError("unknown suite %r; choose from %s or 'all'"
                          % (name, ", ".join(sorted(SUITES))))
-    return [SUITES[name](seed)]
+    results = []
+    for number, (key, suite) in enumerate(SUITES.items(), start=1):
+        if name in ("all", key):
+            summary, failures = suite(seed)
+            if failures:
+                summary += " (first: %s)" % failures[0]
+            results.append(CriterionResult(number, key, not failures, summary))
+    return results

@@ -154,6 +154,16 @@ def test_check_verdicts_and_exit_codes(workdir, capsys):
     assert run("check", inst, "--property", "chordal", "--graph", "g1",
                "--completion", comp) == 2
 
+    # Without optional edges the one sandwich graph, g1, is checked; a
+    # forced four-hole cannot be made chordal.
+    square = SandwichInstance(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [])
+    (workdir / "c4.inst").write_text(format_instance(square))
+    capsys.readouterr()
+    assert run("check", workdir / "c4.inst", "--property", "chordal") == 1
+    assert capsys.readouterr().out.startswith("chordal: false")
+    assert run("solve", workdir / "c4.inst", "--property", "chordal") == 1
+    assert capsys.readouterr().out == "UNSAT\n"
+
 
 def test_check_budget_exhaustion_is_exit_three(workdir, capsys):
     inst = workdir / "even.inst"
@@ -265,6 +275,10 @@ def test_usage_errors_exit_two(workdir, capsys):
                                                             key: value}))
         assert run("extract", comp, "--roles", workdir / "bad.roles.json") == 2
         assert "bad formula" in capsys.readouterr().err
+    (workdir / "bad.roles.json").write_text(json.dumps({**roles,
+                                                        "reduction": "planar"}))
+    assert run("extract", comp, "--roles", workdir / "bad.roles.json") == 2
+    assert "unknown reduction 'planar'" in capsys.readouterr().err
     roles["vertex_roles"]["0"] = "bogus"
     del roles["vertex_roles"]["5"]
     (workdir / "bad.roles.json").write_text(json.dumps(roles))

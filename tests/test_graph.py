@@ -106,6 +106,9 @@ def test_cycle_chordless_in():
     c5 = cycle_graph(5)
     assert not Cycle((0, 1, 2, 3, -1)).is_chordless_in(c5)
     assert not Cycle((0, 1, 2, 3, 5)).is_chordless_in(c5)
+    # Consecutive vertices must be adjacent: five independent vertices are
+    # no cycle.
+    assert not Cycle((0, 1, 2, 3, 4)).is_chordless_in(Graph(5))
 
 
 def test_petersen_census_frozen():

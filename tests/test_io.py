@@ -88,6 +88,7 @@ def test_completion_round_trip():
     ("completion 2\ne 0 2\n", "promises 2 edges, found 1"),
     ("completion 2\ne 0 2\ne 2 0\n", "duplicate edge"),
     ("completion 1\nedge 0 2\n", "lines are 'e"),
+    ("completion\ncompletion 0\n", "line 2: duplicate header"),
     ("completion 1\ne 0 0\n", "self-loop"),
     ("completion 1\ne 0 1\n", "not optional"),
     ("completion 1\ne 9 1\n", "out of range"),

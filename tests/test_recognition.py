@@ -38,6 +38,11 @@ def test_complete_graphs_are_chordal_with_peo():
         ok, cert = check(g, "chordal")
         assert ok and cert.kind == "peo"
         assert verify_certificate(g, "chordal", ok, cert)
+    # An order that is no permutation of the vertices, or names a vertex
+    # that is not an int, is false, not an error.
+    for order in ((0, 1, 1), (0, 1), (0, 1, None), (0, 1, 2.0), (False, 1, 2)):
+        assert not verify_certificate(complete_graph(3), "chordal", True,
+                                      Certificate("peo", order))
 
 
 def test_positive_orientation_triangulates_the_six_cycle():
@@ -91,9 +96,17 @@ def test_five_cycle_violates_both_self_complementary_properties():
         ok, cert = check(g, prop)
         assert not ok
         assert verify_certificate(g, prop, ok, cert)
-    # A certificate naming a vertex outside the graph is false, not an error.
+    # A certificate naming a vertex outside the graph, or one that is not
+    # an int, is false, not an error; so is a missing one.
+    for last in (-1, 4.0, None, "4"):
+        assert not verify_certificate(g, "c5-free", False,
+                                      Certificate("hole", (0, 1, 2, 3, last)))
     assert not verify_certificate(g, "c5-free", False,
-                                  Certificate("hole", (0, 1, 2, 3, -1)))
+                                  Certificate("hole", (False, 1, 2, 3, 4)))
+    assert not verify_certificate(g, "c5-free", False, None)
+    # Five independent vertices are no hole.
+    assert not verify_certificate(Graph(5), "c5-free", False,
+                                  Certificate("hole", (0, 1, 2, 3, 4)))
 
 
 def test_certificates_must_match_the_table():
@@ -223,6 +236,8 @@ def test_tiny_budget_exhausts():
     g = Graph(24, [(i, (i + 1) % 24) for i in range(24)]).complement()
     with pytest.raises(BudgetExhausted):
         check(g, "even-hole-free", budget=1)
+    with pytest.raises(ValueError, match="non-negative"):
+        check(g, "even-hole-free", budget=-1)
 
 
 def test_c5_scan_spends_the_budget():

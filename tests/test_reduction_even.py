@@ -133,6 +133,13 @@ def test_extraction_covers_unused_variables():
     result = solve_with_orientations(f, inst, gmap, budget=None)
     assert result.verdict == "SAT"
     assert result.nodes <= 1 + 2 * f.num_vars
+    with pytest.raises(ValueError, match=r"cover variables 1\.\.4"):
+        completion_from_assignment(gmap, {1: True, 2: False, 3: False})
+    # With no clauses there is no orientation to read: every variable is
+    # read false.
+    inst, gmap = build_even_instance(CnfFormula(2, ()))
+    assert extract_assignment(gmap, inst.realize(inst.optional)) \
+        == {1: False, 2: False}
 
 
 def test_extraction_rejects_mixed_and_missing_orientations():
@@ -173,6 +180,8 @@ def test_propagation_rejects_decisions_on_non_optional_pairs():
     with pytest.raises(ValueError):
         propagate_orientations(
             inst, gmap, {normalized_edge(gmap.head, gmap.foot): True})
+    with pytest.raises(ValueError, match="excludes forced edge"):
+        propagate_orientations(inst, gmap, {min(inst.forced): False})
 
 
 def test_all_negative_orientations_contradict():

@@ -47,8 +47,7 @@ def test_single_clause_counts_frozen():
     assert inst.n == 68
     assert len(inst.forced) == 89
     assert len(inst.optional) == 24
-    assert gmap.variable_cycle.keys() == {1, 2, 3}
-    assert gmap.clause_cycle.keys() == {1}
+    assert len(gmap.five_cycles) == 22
 
 
 @given(small_formulas())
@@ -73,7 +72,7 @@ def test_optional_edges_partition_by_owner(formula):
 def test_gadget_cycles_live_in_the_allowed_graph():
     inst, gmap = build_c5_instance(TWO_CLAUSE)
     g2 = inst.g2()
-    for cyc, pair in gmap.gadget_five_cycles():
+    for cyc, pair in gmap.five_cycles:
         assert len(cyc) == 5
         for idx in range(5):
             assert g2.has_edge(cyc[idx], cyc[(idx + 1) % 5])
@@ -209,7 +208,7 @@ def test_odd_hole_free_variant_solves_and_extracts():
 
 def test_variable_gadget_matches_subset_oracle():
     inst, gmap = build_c5_instance(XYZ)
-    cyc = gmap.variable_cycle[1]
+    cyc, _ = gmap.five_cycles[0]
     sub = sorted(cyc)
     g = inst.realize(frozenset()).induced(sub)
     assert not property_oracle(5, g.edges(), "c5-free")

@@ -56,6 +56,9 @@ def test_validate_lists_violations():
                        r"\(2, 5\) out of range; optional edge \(1, 1\) is a "
                        r"loop; forced and optional overlap on \[\(0, 1\)\]$"):
         SandwichInstance(3, {(0, 1), (5, 2)}, {(0, 1), (1, 1)})
+    with pytest.raises(ValueError, match="names table has 2 entries for 3 "
+                       "vertices$"):
+        SandwichInstance(3, [], [], ["a", "b"])
 
 
 def test_names_must_be_single_words():
