@@ -114,6 +114,14 @@ class Cycle:
     def __init__(self, vertices):
         object.__setattr__(self, "vertices", canonical_rotation(vertices))
 
+    @classmethod
+    def _from_canonical(cls, vertices):
+        """Internal fast path: adopt a tuple already in canonical order (not
+        checked), as iter_chordless_cycles emits it."""
+        cyc = cls.__new__(cls)
+        object.__setattr__(cyc, "vertices", vertices)
+        return cyc
+
     def __setattr__(self, name, *value):
         raise AttributeError("Cycle is immutable")
 
@@ -202,7 +210,7 @@ def iter_chordless_cycles(g, budget=None, length=None):
                 closing = adj[tail] & adj[a] & ~block
                 for y in _bits(closing):
                     if y > path[1] and len(path) + 1 >= shortest:
-                        yield Cycle(path + (y,))
+                        yield Cycle._from_canonical(path + (y,))
                 if length is not None and len(path) + 1 >= length:
                     continue
                 extending = adj[tail] & ~block & ~adj[a]

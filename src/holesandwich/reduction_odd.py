@@ -152,9 +152,13 @@ def completion_from_assignment(gmap, assignment):
     true literal gives up its clause edge and fires its release chain
     (inward repeater chords in, outward out); the other two slots keep their
     clause edges and park their repeaters the opposite way.  Every gadget
-    five-cycle ends up broken.  Raises GadgetError if the assignment does
-    not satisfy the formula.
+    five-cycle ends up broken.  Raises ValueError unless the assignment
+    covers exactly variables 1..n, and GadgetError if it does not satisfy
+    the formula.
     """
+    if set(assignment) != set(range(1, gmap.num_vars + 1)):
+        raise ValueError("assignment must cover variables 1..%d"
+                         % gmap.num_vars)
     chosen = set()
     for i in range(1, gmap.num_vars + 1):
         chosen.add(gmap.true_chord[i] if assignment[i] else gmap.false_chord[i])

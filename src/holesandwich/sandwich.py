@@ -161,6 +161,7 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
     if prop not in PROPERTY_IDS:
         raise ValueError("unknown property id %r" % (prop,))
     check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
+    forced_adj = inst.g1().adj
 
     # A state is its last decision and its parent state, (edge, value,
     # parent), with None the root: siblings share their ancestors' decisions.
@@ -171,7 +172,12 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
             e, value, link = link
             decided[e] = value
         chosen = [e for e, value in decided.items() if value]
-        g = Graph(inst.n, list(inst.forced) + chosen)
+        # Chosen pairs are optional, so checked by SandwichInstance already.
+        adj = list(forced_adj)
+        for u, v in chosen:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        g = Graph._from_masks(inst.n, adj)
         violation = first_violation(g, prop, check_budget)
         if violation is None:
             return Completion(frozenset(chosen))

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesandwich.budget import BudgetExhausted
-from holesandwich.graph import Cycle, Graph, canonical_rotation, is_bipartite
+from holesandwich.graph import (Cycle, Graph, canonical_rotation, is_bipartite,
+                               iter_chordless_cycles)
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, find_gem, find_induced_path,
                                  path_graph, triangles)
@@ -135,6 +136,20 @@ def test_chordless_cycles_match_oracle(g):
     assert got == {canonical_rotation(c) for c in want}
     for c in chordless_cycles(g):
         assert is_induced_cycle(g.edges(), c.vertices)
+
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=60)
+def test_enumerated_cycles_are_already_canonical(g):
+    """The enumerator adopts its paths through Cycle._from_canonical; that
+    is sound only because every path it closes is in canonical order."""
+    for length in (None, 5):
+        for cyc in iter_chordless_cycles(g, length=length):
+            vs = cyc.vertices
+            assert vs == canonical_rotation(vs)
+            adopted, checked = Cycle._from_canonical(vs), Cycle(vs)
+            assert adopted == checked and hash(adopted) == hash(checked)
+            assert Cycle(tuple(reversed(vs[1:] + vs[:1]))) == cyc
 
 
 def test_chordless_cycles_budget_raises():

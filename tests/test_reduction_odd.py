@@ -142,6 +142,18 @@ def test_falsifying_assignment_is_rejected():
         completion_from_assignment(gmap, {1: False, 2: True, 3: False})
 
 
+def test_partial_assignment_is_rejected():
+    inst, gmap = build_c5_instance(XYZ)
+    with pytest.raises(ValueError, match="cover variables 1..3"):
+        completion_from_assignment(gmap, {1: True})
+
+
+def test_assignment_with_an_extra_variable_is_rejected():
+    inst, gmap = build_c5_instance(XYZ)
+    with pytest.raises(ValueError, match="cover variables 1..3"):
+        completion_from_assignment(gmap, {1: True, 2: True, 3: True, 4: True})
+
+
 def test_empty_completion_leaves_induced_five_cycles():
     inst, gmap = build_c5_instance(XYZ)
     g = inst.realize(frozenset())
@@ -202,6 +214,38 @@ def test_odd_hole_free_variant_solves_and_extracts():
     # Chord conventions live in the uncomplemented world.
     assignment = extract_assignment(gmap, g.complement())
     assert XYZ.satisfied_by(assignment)
+
+
+# -- the search, pinned -----------------------------------------------------------
+
+# solve's nodes and first completion on two sign patterns of one clause.  A
+# change to the cost of a node must leave them as they are; they move only
+# when the search itself (node order, violation order, repair pair) does.
+SEARCH_PINS = {
+    ((1, -2, 3), "c5-free"): (23, [
+        (0, 2), (5, 7), (10, 12), (15, 16), (16, 17), (23, 25), (28, 30),
+        (39, 41), (44, 46), (52, 53), (56, 58), (61, 63)]),
+    ((1, -2, 3), "odd-hole-free"): (13, [
+        (1, 3), (5, 7), (11, 13), (15, 16), (23, 25), (28, 30), (36, 37),
+        (39, 41), (52, 53), (55, 57)]),
+    ((-1, 2, -3), "c5-free"): (71, [
+        (0, 2), (5, 7), (10, 12), (15, 16), (17, 18), (23, 25), (28, 30),
+        (36, 37), (40, 42), (45, 47), (55, 57), (60, 62)]),
+    ((-1, 2, -3), "odd-hole-free"): (13, [
+        (0, 2), (6, 8), (10, 12), (15, 16), (23, 25), (28, 30), (36, 37),
+        (39, 41), (52, 53), (55, 57)]),
+}
+
+
+@pytest.mark.parametrize("clause, prop", sorted(SEARCH_PINS))
+def test_one_clause_search_is_pinned(clause, prop):
+    build = (build_c5_instance if prop == "c5-free"
+             else build_odd_hole_free_instance)
+    inst, _ = build(CnfFormula(3, (clause,)))
+    result = solve(inst, prop)
+    nodes, chosen = SEARCH_PINS[(clause, prop)]
+    assert (result.verdict, result.nodes) == ("SAT", nodes)
+    assert sorted(result.completion.chosen) == chosen
 
 
 # -- oracle cross-check on a tiny sub-gadget -------------------------------------
