@@ -197,26 +197,24 @@ def _cmd_extract(args):
 
 
 def _cmd_verify(args):
-    from .verify import DEFAULT_SEED, run_suite
-    seed = DEFAULT_SEED if args.seed is None else args.seed
+    from .verify import DEFAULT_SEED, check_suite_name, run_suite
     try:
-        results = run_suite(args.suite, seed=seed)
-    except ValueError as exc:  # an unknown suite name
+        check_suite_name(args.suite)
+    except ValueError as exc:
         raise CliError(exc)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_suite(args.suite, seed=seed)
     print("seed %d" % seed)
-    all_passed = True
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        print("[%s] %d %s: %s" % (mark, r.number, r.name, r.detail))
-        all_passed = all_passed and r.passed
-    return EXIT_TRUE if all_passed else EXIT_FALSE
+        print("[%s] %d %s: %s" % ("PASS" if r.passed else "FAIL", r.number,
+                                  r.name, r.detail))
+    return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE
 
 
 def _cmd_export_dot(args):
     inst = _parse(args.instance, parse_instance)
-    chosen = None
-    if args.completion is not None:
-        chosen = _parse(args.completion, parse_completion, inst)
+    chosen = (None if args.completion is None
+              else _parse(args.completion, parse_completion, inst))
     _write(args.out, format_dot(inst, chosen, graph_name=args.name))
     return EXIT_TRUE
 

@@ -54,10 +54,8 @@ class CnfFormula(namedtuple("CnfFormula", "num_vars clauses")):
 
     def satisfied_by(self, assignment):
         """True when every clause has a literal made true by `assignment`."""
-        for clause in self.clauses:
-            if not any(assignment[abs(lit)] == (lit > 0) for lit in clause):
-                return False
-        return True
+        return all(any(assignment[abs(lit)] == (lit > 0) for lit in clause)
+                   for clause in self.clauses)
 
 
 def parse_int(token):

@@ -101,85 +101,33 @@ class Graph:
         return "Graph(n=%d, adj=%r)" % (self.n, self.adj)
 
 
-class Cycle:
-    """A cycle stored in canonical vertex order.
-
-    Canonical form is the lexicographically least among all rotations and
-    reflections of the vertex sequence, so equal cycles compare equal no
-    matter how they were traversed.  Cycles are immutable values.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", canonical_rotation(vertices))
-
-    @classmethod
-    def _from_canonical(cls, vertices):
-        """Internal fast path: adopt a tuple already in canonical order (not
-        checked), as iter_chordless_cycles emits it."""
-        cyc = cls.__new__(cls)
-        object.__setattr__(cyc, "vertices", vertices)
-        return cyc
-
-    def __setattr__(self, name, *value):
-        raise AttributeError("Cycle is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return other.__class__ is Cycle and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __reduce__(self):
-        return Cycle, (self.vertices,)
-
-    def __repr__(self):
-        return "Cycle(%r)" % (self.vertices,)
-
-    @property
-    def length(self):
-        return len(self.vertices)
-
-    @property
-    def is_odd(self):
-        return len(self.vertices) % 2 == 1
-
-    def is_chordless_in(self, g):
-        """True when this cycle is an induced cycle of `g`: its vertices are
-        g's, consecutive pairs adjacent, all other pairs non-adjacent."""
-        vs = self.vertices
-        k = len(vs)
-        if k < 3 or len(set(vs)) != k or not 0 <= min(vs) <= max(vs) < g.n:
+def is_hole(g, vertices):
+    """True when `vertices`, in the order given, is a chordless cycle of
+    `g`: its vertices are g's, consecutive pairs (the last and the first
+    too) adjacent, all other pairs not.  A triangle passes."""
+    vs = vertices
+    k = len(vs)
+    if k < 3 or len(set(vs)) != k or not 0 <= min(vs) <= max(vs) < g.n:
+        return False
+    for i, u in enumerate(vs):
+        if not g.has_edge(u, vs[(i + 1) % k]):
             return False
-        for i, u in enumerate(vs):
-            if not g.has_edge(u, vs[(i + 1) % k]):
-                return False
-        for i, j in combinations(range(k), 2):
-            if j - i not in (1, k - 1) and g.has_edge(vs[i], vs[j]):
-                return False
-        return True
+    for i, j in combinations(range(k), 2):
+        if j - i not in (1, k - 1) and g.has_edge(vs[i], vs[j]):
+            return False
+    return True
 
 
 def canonical_rotation(vertices):
     """Lexicographically least rotation/reflection of a cyclic sequence."""
     vs = tuple(vertices)
-    if len(vs) <= 1:
-        return vs
-    best = None
-    for seq in (vs, tuple(reversed(vs))):
-        for i in range(len(seq)):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min((seq[i:] + seq[:i] for seq in (vs, vs[::-1])
+                for i in range(len(vs))), default=vs)
 
 
 def iter_chordless_cycles(g, budget=None, length=None):
     """Yield every chordless cycle of length >= 4, or of exactly `length`
-    when it is given, exactly once.
+    when it is given, exactly once, as its `canonical_rotation` tuple.
 
     Search strategy: grow chordless paths anchored at their smallest vertex.
     A path [a, b, ..., t] keeps every vertex above the anchor a, allows no
@@ -210,7 +158,7 @@ def iter_chordless_cycles(g, budget=None, length=None):
                 closing = adj[tail] & adj[a] & ~block
                 for y in _bits(closing):
                     if y > path[1] and len(path) + 1 >= shortest:
-                        yield Cycle._from_canonical(path + (y,))
+                        yield path + (y,)
                 if length is not None and len(path) + 1 >= length:
                     continue
                 extending = adj[tail] & ~block & ~adj[a]

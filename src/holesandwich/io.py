@@ -200,12 +200,9 @@ def format_dot(inst, chosen=None, graph_name="sandwich"):
     for u, v in sorted(inst.forced):
         lines.append("  %d -- %d;" % (u, v))
     for u, v in sorted(inst.optional):
-        if chosen is not None and (u, v) in chosen:
-            lines.append("  %d -- %d [style=bold];" % (u, v))
-        elif chosen is not None:
-            lines.append("  %d -- %d [style=dotted];" % (u, v))
-        else:
-            lines.append("  %d -- %d [style=dashed];" % (u, v))
+        style = ("dashed" if chosen is None
+                 else "bold" if (u, v) in chosen else "dotted")
+        lines.append("  %d -- %d [style=%s];" % (u, v, style))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

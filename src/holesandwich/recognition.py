@@ -14,7 +14,8 @@ from itertools import combinations
 from math import comb
 
 from .budget import Budget
-from .graph import Cycle, _bits, is_bipartite, iter_chordless_cycles
+from .cnf import _is_int
+from .graph import _bits, is_bipartite, is_hole, iter_chordless_cycles
 
 # What each property forbids, in search order: a chordless cycle of length
 # >= 4 of the graph ("hole") or of its complement ("antihole"), of any
@@ -79,11 +80,9 @@ def verify_certificate(g, prop, verdict, cert):
     """Re-check a (verdict, certificate) pair against the graph it came from."""
     if prop not in FORBIDDEN:
         raise ValueError("unknown property id %r" % (prop,))
-    # A vertex is an int but no bool; anything else would fail the
-    # comparisons below with TypeError instead of being rejected.
-    if cert is not None and not all(
-            isinstance(v, int) and not isinstance(v, bool)
-            for v in cert.vertices):
+    # Anything but an int would fail the comparisons below with TypeError
+    # instead of being rejected.
+    if cert is not None and not all(map(_is_int, cert.vertices)):
         return False
     if verdict:
         if prop == "chordal":
@@ -93,9 +92,9 @@ def verify_certificate(g, prop, verdict, cert):
         return False
     for kind, shape in FORBIDDEN[prop]:
         if cert.kind == kind:
-            cyc = Cycle(tuple(cert.vertices))
             host = g if kind == "hole" else g.complement()
-            return _fits(cyc.length, shape) and cyc.is_chordless_in(host)
+            return (_fits(len(cert.vertices), shape)
+                    and is_hole(host, cert.vertices))
     return False
 
 
@@ -182,11 +181,11 @@ def _verify_peo(g, order):
 
 
 def _first_cycle(g, budget, shape):
-    """Vertices of the first chordless cycle of `g` of a FORBIDDEN entry's
-    shape, or None; a length-5 search grows no longer paths."""
+    """The first chordless cycle of `g` of a FORBIDDEN entry's shape, or
+    None; a length-5 search grows no longer paths."""
     for cyc in iter_chordless_cycles(g, budget, 5 if shape == 5 else None):
-        if _fits(cyc.length, shape):
-            return cyc.vertices
+        if _fits(len(cyc), shape):
+            return cyc
     return None
 
 

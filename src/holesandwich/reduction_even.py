@@ -22,7 +22,7 @@ shoulder to every knee.
 import itertools
 from collections import namedtuple
 
-from .graph import Cycle
+from .graph import canonical_rotation
 from .recognition import DEFAULT_CHECK_BUDGET, check
 from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
                        depth_first, normalized_edge)
@@ -238,8 +238,8 @@ class PropagationResult(namedtuple("PropagationResult",
 
     status is "ok" or "contradiction"; forced maps optional edges to the
     decisions derived beyond the input ones; on contradiction, certificate
-    is an even hole (in cycle order) induced in the graph of forced plus
-    decided-in edges.
+    is an even hole induced in the graph of forced plus decided-in edges,
+    as a vertex tuple in canonical order (`graph.canonical_rotation`).
     """
 
     __slots__ = ()
@@ -314,7 +314,7 @@ def propagate_orientations(inst, gmap, decided):
             present = sides.count(IN)
             if present == 4:
                 if ac == OUT and bd == OUT:
-                    contradictions.append(Cycle((a, b, c, d)))
+                    contradictions.append((a, b, c, d))
                 elif ac == OUT and bd == UND:
                     force(b, d, True)
                 elif bd == OUT and ac == UND:
@@ -343,17 +343,16 @@ def propagate_orientations(inst, gmap, decided):
                 if hk == IN or fs == IN:
                     continue
                 if hk == OUT and fs == OUT:
-                    contradictions.append(Cycle(
-                        (head, gmap.w1, gmap.w2, foot, k, s)))
+                    contradictions.append((head, gmap.w1, gmap.w2, foot, k, s))
                 elif hk == OUT:
                     force(foot, s, True)
                 elif fs == OUT:
                     force(head, k, True)
 
         if contradictions:
-            cert = min(contradictions,
-                       key=lambda c: (len(c.vertices), tuple(sorted(c.vertices))))
-            return PropagationResult("contradiction", forced_log, cert)
+            cert = min(contradictions, key=lambda c: (len(c), sorted(c)))
+            return PropagationResult("contradiction", forced_log,
+                                     canonical_rotation(cert))
         if not batch:
             return PropagationResult("ok", forced_log)
         for e, val in batch.items():

@@ -187,11 +187,8 @@ def extract_assignment(gmap, g):
     """
     assignment = {}
     for i in range(1, gmap.num_vars + 1):
-        t = gmap.true_chord[i]
-        f = gmap.false_chord[i]
-        t_in = g.has_edge(*t)
-        f_in = g.has_edge(*f)
-        if not (t_in or f_in):
+        t_in = g.has_edge(*gmap.true_chord[i])
+        if not (t_in or g.has_edge(*gmap.false_chord[i])):
             raise GadgetError("variable %d five-cycle has no chord" % i)
         assignment[i] = t_in
     return assignment

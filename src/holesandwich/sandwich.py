@@ -13,8 +13,10 @@ solvability for the complementary property.  The transform is an involution.
 
 from collections import namedtuple
 from itertools import combinations
+from math import inf
 
 from .budget import Budget, BudgetExhausted
+from .cnf import _is_int
 from .graph import Graph
 # No code here calls `check`; the benchmark's tracing test reads
 # sandwich.check to see that instrumentation restores every binding.
@@ -35,26 +37,39 @@ class SandwichInstance(namedtuple("SandwichInstance",
     """Vertex count, forced edges, optional edges; forbidden pairs implicit.
 
     Pairs are stored as frozensets of (u, v) with u < v, names as a tuple
-    or None.  Construction checks the input once: one ValueError lists
-    every loop, out-of-range pair, forced-optional overlap and bad name.
+    or None.  Construction checks the input once: one ValueError lists a
+    count or endpoint that is a bool or no int, a negative count, every
+    loop, out-of-range pair, forced-optional overlap and bad name.
     """
 
     __slots__ = ()
 
     def __new__(cls, n, forced, optional, names=None):
-        forced = frozenset((u, v) if u < v else (v, u) for u, v in forced)
-        optional = frozenset((u, v) if u < v else (v, u) for u, v in optional)
         names = None if names is None else tuple(names)
         errors = []
+        if not _is_int(n) or n < 0:
+            errors.append("vertex count %r is not an int >= 0" % (n,))
+        # Against a bad count a range check would only repeat its error.
+        top = inf if errors else n
+        stored = []
         for label, edges in (("forced", forced), ("optional", optional)):
-            for u, v in sorted(e for e in edges if not 0 <= e[0] < e[1] < n):
+            pairs = set()
+            for u, v in edges:
+                if _is_int(u) and _is_int(v):
+                    pairs.add((u, v) if u < v else (v, u))
+                else:
+                    errors.append("%s edge %r has a non-integer end"
+                                  % (label, (u, v)))
+            for u, v in sorted(e for e in pairs if not 0 <= e[0] < e[1] < top):
                 errors.append("%s edge %r %s" % (
                     label, (u, v), "is a loop" if u == v else "out of range"))
+            stored.append(frozenset(pairs))
+        forced, optional = stored
         overlap = forced & optional
         if overlap:
             errors.append("forced and optional overlap on %r" % sorted(overlap))
         if names is not None and len(names) != n:
-            errors.append("names table has %d entries for %d vertices"
+            errors.append("names table has %d entries for %r vertices"
                           % (len(names), n))
         # A name is one token of the `v <id> <role>` line io writes.
         for v, name in enumerate(names or ()):

@@ -25,7 +25,7 @@ from itertools import combinations, product
 
 from .budget import Budget
 from .cnf import CnfFormula
-from .graph import Cycle, Graph, _bits, iter_chordless_cycles
+from .graph import Graph, _bits, canonical_rotation, iter_chordless_cycles
 from .recognition import PROPERTY_IDS, check
 from .reduction_even import (build_even_instance, completion_from_assignment,
                              extract_assignment as extract_even,
@@ -46,13 +46,13 @@ class CriterionResult(namedtuple("CriterionResult",
 # -- graph reference searches -----------------------------------------------
 
 def chordless_cycles(g, budget=None):
-    """All chordless cycles of length >= 4, canonical and deduplicated.
+    """All chordless cycles of length >= 4 as canonical tuples, sorted.
 
     `budget` is a step count (int) or None for unlimited; exhaustion raises
     BudgetExhausted.
     """
     return sorted(iter_chordless_cycles(g, Budget(budget)),
-                  key=lambda c: (c.length, c.vertices))
+                  key=lambda c: (len(c), c))
 
 
 def triangles(g):
@@ -178,13 +178,12 @@ def five_cycle_census(inst, gmap):
     empty.
     """
     g2 = inst.g2()
-    catalog = {Cycle(cyc) for cyc, _ in gmap.five_cycles}
+    catalog = {canonical_rotation(cyc) for cyc, _ in gmap.five_cycles}
     safe = []
     intended = []
     rogue = []
     for cyc in _all_five_cycles(g2):
-        verts = cyc.vertices
-        chords = tuple(normalized_edge(verts[idx], verts[(idx + 2) % 5])
+        chords = tuple(normalized_edge(cyc[idx], cyc[(idx + 2) % 5])
                        for idx in range(5))
         if any(e in inst.forced for e in chords):
             safe.append(cyc)
@@ -196,7 +195,7 @@ def five_cycle_census(inst, gmap):
 
 
 def _all_five_cycles(g):
-    """All 5-cycles of g as Cycle values, chords allowed, each once."""
+    """All 5-cycles of g as canonical tuples, chords allowed, each once."""
     adj = g.adj
     for a in range(g.n):
         above = ~((1 << (a + 1)) - 1)
@@ -208,7 +207,7 @@ def _all_five_cycles(g):
                     closing = adj[d] & adj[a] & above
                     for e in _bits(closing):
                         if e > b and e not in (b, c, d):
-                            yield Cycle((a, b, c, d, e))
+                            yield a, b, c, d, e
 
 
 class CheckResult(namedtuple("CheckResult", "ok witness detail",
@@ -296,12 +295,10 @@ def _triangle_sharing(inst, g2):
     tris = triangles(g2)
     by_edge = {}
     for tri in tris:
-        u, v, w = tri
-        for e in ((u, v), (u, w), (v, w)):
+        for e in combinations(tri, 2):
             by_edge.setdefault(e, []).append(tri)
     for tri in tris:
-        u, v, w = tri
-        tri_edges = ((u, v), (u, w), (v, w))
+        tri_edges = tuple(combinations(tri, 2))
         optional_count = sum(1 for e in tri_edges if e in inst.optional)
         if optional_count != 1:
             return CheckResult(False, tri,
@@ -560,7 +557,7 @@ def even_propagation_chain(seed=DEFAULT_SEED):
                                 % (inst.name(u), inst.name(v)))
         expected = {gmap.knee[(1, 1)], gmap.knee[(2, 1)],
                     gmap.knee[(-1, 1)], gmap.knee[(-2, 1)]}
-        got = set(result.certificate.vertices)
+        got = set(result.certificate)
         if got != expected:
             problems.append("certificate %s" %
                             sorted(inst.name(v) for v in got))
@@ -641,15 +638,20 @@ SUITES = {
 }
 
 
+def check_suite_name(name):
+    """Raise ValueError unless `name` is a SUITES key or 'all'."""
+    if name != "all" and name not in SUITES:
+        raise ValueError("unknown suite %r; choose from %s or 'all'"
+                         % (name, ", ".join(sorted(SUITES))))
+
+
 def run_suite(name, seed=DEFAULT_SEED):
     """Run one named suite (or 'all'); returns a list of CriterionResult.
 
     A suite returns (summary, failures); its result is numbered by its place
     in SUITES, named by its key, and passes when no failure is listed.
     """
-    if name != "all" and name not in SUITES:
-        raise ValueError("unknown suite %r; choose from %s or 'all'"
-                         % (name, ", ".join(sorted(SUITES))))
+    check_suite_name(name)
     results = []
     for number, (key, suite) in enumerate(SUITES.items(), start=1):
         if name in ("all", key):

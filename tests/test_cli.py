@@ -334,6 +334,20 @@ def test_verify_reports_seed_and_passes(workdir, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "seed 20240901"
 
 
+def test_verify_lets_a_suite_error_propagate(monkeypatch, capsys):
+    # Only an unknown suite name is a usage error; a ValueError raised
+    # inside a suite is a fault of the library and must not exit 2.
+    from holesandwich import verify
+
+    def broken(seed):
+        raise ValueError("internal fault")
+
+    monkeypatch.setitem(verify.SUITES, "even-instance-census", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run("verify", "--suite", "even-instance-census")
+    assert capsys.readouterr().err == ""
+
+
 # -- memory ----------------------------------------------------------------------
 
 def test_calls_leave_no_cyclic_garbage(workdir):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holesandwich.budget import BudgetExhausted
-from holesandwich.graph import (Cycle, Graph, canonical_rotation, is_bipartite,
-                               iter_chordless_cycles)
+from holesandwich.graph import (Graph, canonical_rotation, is_bipartite,
+                               is_hole, iter_chordless_cycles)
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, find_gem, find_induced_path,
                                  path_graph, triangles)
@@ -90,40 +90,42 @@ def test_degree_sum_is_twice_edge_count(g):
 # -- cycles -------------------------------------------------------------------
 
 def test_cycle_canonical_form():
-    assert Cycle((3, 1, 0, 2)) == Cycle((0, 1, 3, 2))
-    assert Cycle((0, 1, 2, 3)).vertices == (0, 1, 2, 3)
+    assert canonical_rotation((3, 1, 0, 2)) == (0, 1, 3, 2)
+    assert canonical_rotation([0, 2, 3, 1]) == (0, 1, 3, 2)
+    assert canonical_rotation((0, 1, 2, 3)) == (0, 1, 2, 3)
     assert canonical_rotation((4, 2, 5)) == (2, 4, 5)
-    assert Cycle((0, 1, 2, 3, 4)).is_odd
-    assert not Cycle((0, 1, 2, 3)).is_odd
 
 
 def test_cycle_chordless_in():
     square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert Cycle((0, 1, 2, 3)).is_chordless_in(square)
+    assert is_hole(square, (0, 1, 2, 3))
+    assert is_hole(square, [2, 1, 0, 3])
+    # The order is checked as given: 0-2 is no edge of the square.
+    assert not is_hole(square, (0, 2, 1, 3))
     chorded = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    assert not Cycle((0, 1, 2, 3)).is_chordless_in(chorded)
+    assert not is_hole(chorded, (0, 1, 2, 3))
     # A vertex outside range(n) is not the graph's; has_edge does not check
     # its arguments, and reads a negative one from the end.
     c5 = cycle_graph(5)
-    assert not Cycle((0, 1, 2, 3, -1)).is_chordless_in(c5)
-    assert not Cycle((0, 1, 2, 3, 5)).is_chordless_in(c5)
+    assert not is_hole(c5, (0, 1, 2, 3, -1))
+    assert not is_hole(c5, (0, 1, 2, 3, 5))
     # Consecutive vertices must be adjacent: five independent vertices are
     # no cycle.
-    assert not Cycle((0, 1, 2, 3, 4)).is_chordless_in(Graph(5))
+    assert not is_hole(Graph(5), (0, 1, 2, 3, 4))
 
 
 def test_petersen_census_frozen():
     g = Graph(10, petersen_edges())
-    census = Counter(c.length for c in chordless_cycles(g))
+    census = Counter(len(c) for c in chordless_cycles(g))
     assert dict(census) == {5: 12, 6: 10}
-    co_census = Counter(c.length for c in chordless_cycles(g.complement()))
+    co_census = Counter(len(c) for c in chordless_cycles(g.complement()))
     assert dict(co_census) == {4: 15, 5: 12}
 
 
 def test_chordless_cycles_of_cycle_graph():
     for k in range(4, 9):
         cycles = chordless_cycles(cycle_graph(k))
-        assert len(cycles) == 1 and cycles[0].length == k
+        assert cycles == [tuple(range(k))]
     assert chordless_cycles(complete_graph(6)) == []
     assert chordless_cycles(path_graph(6)) == []
 
@@ -132,24 +134,22 @@ def test_chordless_cycles_of_cycle_graph():
 @settings(max_examples=60)
 def test_chordless_cycles_match_oracle(g):
     want = chordless_cycles_oracle(g.n, g.edges())
-    got = {c.vertices for c in chordless_cycles(g)}
+    got = set(chordless_cycles(g))
     assert got == {canonical_rotation(c) for c in want}
     for c in chordless_cycles(g):
-        assert is_induced_cycle(g.edges(), c.vertices)
+        assert is_induced_cycle(g.edges(), c)
 
 
 @given(small_graphs(max_n=8))
 @settings(max_examples=60)
 def test_enumerated_cycles_are_already_canonical(g):
-    """The enumerator adopts its paths through Cycle._from_canonical; that
-    is sound only because every path it closes is in canonical order."""
+    """The enumerator yields its closed paths as they are; callers compare
+    them as values, which is sound only because every path it closes is in
+    canonical order."""
     for length in (None, 5):
         for cyc in iter_chordless_cycles(g, length=length):
-            vs = cyc.vertices
-            assert vs == canonical_rotation(vs)
-            adopted, checked = Cycle._from_canonical(vs), Cycle(vs)
-            assert adopted == checked and hash(adopted) == hash(checked)
-            assert Cycle(tuple(reversed(vs[1:] + vs[:1]))) == cyc
+            assert type(cyc) is tuple and cyc == canonical_rotation(cyc)
+            assert canonical_rotation(reversed(cyc[1:] + cyc[:1])) == cyc
 
 
 def test_chordless_cycles_budget_raises():

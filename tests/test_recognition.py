@@ -107,6 +107,28 @@ def test_five_cycle_violates_both_self_complementary_properties():
     # Five independent vertices are no hole.
     assert not verify_certificate(Graph(5), "c5-free", False,
                                   Certificate("hole", (0, 1, 2, 3, 4)))
+    # Every rotation and reflection of the hole and of the antihole, as a
+    # tuple or a list, is accepted; an order that is no cycle of the host
+    # and a repeated vertex are not.
+    for kind, props, cyc in (
+            ("hole", ("c5-free", "odd-hole-free", "berge", "chordal"),
+             (0, 1, 2, 3, 4)),
+            ("antihole", ("odd-antihole-free", "berge"), (0, 2, 4, 1, 3))):
+        for prop in props:
+            for seq in (cyc, cyc[::-1]):
+                for i in range(5):
+                    turned = seq[i:] + seq[:i]
+                    for vs in (turned, list(turned)):
+                        assert verify_certificate(g, prop, False,
+                                                  Certificate(kind, vs))
+            for vs in ((0, 2, 1, 3, 4), (0, 1, 2, 3, 4, 0)):
+                assert not verify_certificate(g, prop, False,
+                                              Certificate(kind, vs))
+    # A triangle is a chordless cycle but no hole.
+    triangle = Certificate("hole", (0, 1, 2))
+    for prop in ("chordal", "odd-hole-free", "berge"):
+        assert not verify_certificate(complete_graph(3), prop, False,
+                                      triangle)
 
 
 def test_certificates_must_match_the_table():

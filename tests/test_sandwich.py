@@ -48,6 +48,17 @@ def test_build_rejects_overlap_and_range():
         SandwichInstance(3, {(0, 3)}, set())
     with pytest.raises(ValueError):
         SandwichInstance(3, {(1, 1)}, set())
+    # A vertex count or an endpoint is an int and no bool, and a count is
+    # not negative; anything else is the same one ValueError, not a
+    # TypeError now or a failed index in a later solve.
+    for n, forced, optional in ((3, [(0.0, 1.0)], [(1, 2)]),
+                                (-1, [], []),
+                                (3.0, [(0, 1)], []),
+                                (3, [("a", 1)], []),
+                                (3, [], [(False, True)]),
+                                ("3", [(0, 1)], [])):
+        with pytest.raises(ValueError, match="^invalid instance: "):
+            SandwichInstance(n, forced, optional)
 
 
 def test_validate_lists_violations():
