@@ -1,11 +1,12 @@
 """3-SAT to even-hole-free sandwich instances.
 
-Per variable there are two shoulder vertices (one per polarity); per
-occurrence of a variable in a clause there are two knee vertices.  Each
-incidence contributes a forced six-cycle head, positive shoulder, negative
-knee, foot, positive knee, negative shoulder; each clause adds a forced
-3-sun: a triangle on its active knees (the knees of the literals as written)
-with pendant forced edges to the inactive knees.  A four-vertex forced path
+Per variable there is a polarity pair of shoulder vertices, and per
+incidence (occurrence of a variable in a clause) a polarity pair of knee
+vertices; the two vertices of a pair are never adjacent.  Each incidence
+contributes a forced six-cycle head, positive shoulder, negative knee, foot,
+positive knee, negative shoulder; each clause adds a forced 3-sun: a
+triangle on its active knees (the knees of the literals as written) with
+pendant forced edges to the inactive knees.  A four-vertex forced path
 head-W1-W2-foot, with every other pair touching W1 or W2 forbidden, turns
 each incidence six-cycle into an even-hole obligation: the six-hole (head,
 W1, W2, foot, knee, shoulder) closes through any forced or present
@@ -31,6 +32,9 @@ IN, OUT, UND = 1, 0, 2
 
 POSITIVE, NEGATIVE = "positive", "negative"
 
+# The fixed role vertices; every other vertex belongs to a polarity pair.
+HEAD, FOOT, W1, W2 = 0, 1, 2, 3
+
 
 class OrientationError(Exception):
     """A sandwich graph whose orientations do not define an assignment."""
@@ -39,27 +43,29 @@ class OrientationError(Exception):
 class EvenGadgetMap:
     """Vertex roles of a built instance.
 
-    shoulder is keyed by signed variable (+i positive, -i negative), knee by
-    (signed variable, clause index).  incidences lists (variable, clause)
-    pairs in construction order; clause indices are 1-based.  instance is a
-    back-reference to the built SandwichInstance.  build_even_instance fills
-    all four in.
+    head, foot, w1 and w2 are the fixed vertices 0-3.  shoulder is keyed by
+    signed variable (+i positive, -i negative), knee by (signed variable,
+    clause index), with 1-based clause indices.  bundles maps each
+    incidence (variable, clause), in construction order, to its (negative,
+    positive) orientation bundles, so a truth value indexes it.  instance
+    is a back-reference to the built SandwichInstance.
+    build_even_instance fills in all but the formula's fields.
     """
 
-    def __init__(self, num_vars, clauses, head, foot, w1, w2):
-        self.num_vars, self.clauses = num_vars, clauses
-        self.head, self.foot, self.w1, self.w2 = head, foot, w1, w2
-        self.shoulder, self.knee = {}, {}
-        self.incidences, self.instance = (), None
+    head, foot, w1, w2 = HEAD, FOOT, W1, W2
+
+    def __init__(self, formula):
+        self.num_vars, self.clauses = formula.num_vars, formula.clauses
+        self.shoulder, self.knee, self.bundles = {}, {}, {}
+        self.instance = None
+
+    @property
+    def incidences(self):
+        return tuple(self.bundles)
 
     def orientation_edges(self, var, clause, positive):
         """The three optional edges of one orientation of one incidence."""
-        lit = var if positive else -var
-        k = self.knee[(lit, clause)]
-        s = self.shoulder[lit]
-        return (normalized_edge(self.head, k),
-                normalized_edge(k, s),
-                normalized_edge(s, self.foot))
+        return self.bundles[(var, clause)][positive]
 
     def clause_knees(self, clause):
         """(active, inactive) knee tuples of a clause, in literal order."""
@@ -69,7 +75,7 @@ class EvenGadgetMap:
         return active, inactive
 
     def variable_incidences(self, var):
-        return tuple(j for v, j in self.incidences if v == var)
+        return tuple(j for v, j in self.bundles if v == var)
 
     def knees(self):
         return tuple(sorted(self.knee.values()))
@@ -84,58 +90,48 @@ def build_even_instance(formula):
     Returns (instance, gadget_map).  The instance has an even-hole-free
     sandwich graph exactly when the formula is satisfiable.
     """
+    gmap = EvenGadgetMap(formula)
     names = ["H", "F", "W1", "W2"]
-    gmap = EvenGadgetMap(formula.num_vars, formula.clauses,
-                         head=0, foot=1, w1=2, w2=3)
+    forced = {(HEAD, W1), (W1, W2), (W2, FOOT)}
+    forbidden = {(HEAD, FOOT)}
 
-    def lit_name(lit):
-        return ("x%d" if lit > 0 else "!x%d") % abs(lit)
+    def polarity_pair(label, i):
+        # The x_i and !x_i vertices of one role, named label.format(literal)
+        # and joined by a forbidden pair.
+        pos, neg = len(names), len(names) + 1
+        names.extend(label.format(lit) for lit in ("x%d" % i, "!x%d" % i))
+        forbidden.add((pos, neg))
+        return pos, neg
+
+    def incidence(i, j):
+        # Variable i's knee pair in clause j, its forced six-cycle and its
+        # two orientation bundles, the chords that can break that cycle.
+        k_pos, k_neg = polarity_pair("K_{}.c%d" % j, i)
+        gmap.knee[(i, j)], gmap.knee[(-i, j)] = k_pos, k_neg
+        s_pos, s_neg = gmap.shoulder[i], gmap.shoulder[-i]
+        six = (HEAD, s_pos, k_neg, FOOT, k_pos, s_neg)
+        forced.update(normalized_edge(six[k - 1], six[k]) for k in range(6))
+        gmap.bundles[(i, j)] = tuple(
+            (normalized_edge(HEAD, k), normalized_edge(k, s),
+             normalized_edge(s, FOOT))
+            for k, s in ((k_neg, s_neg), (k_pos, s_pos)))
 
     for i in range(1, formula.num_vars + 1):
-        for lit in (i, -i):
-            gmap.shoulder[lit] = len(names)
-            names.append("S_" + lit_name(lit))
+        gmap.shoulder[i], gmap.shoulder[-i] = polarity_pair("S_{}", i)
 
-    incidences = []
     for j, clause in enumerate(formula.clauses, start=1):
         for lit in clause:
-            i = abs(lit)
-            for signed in (i, -i):
-                gmap.knee[(signed, j)] = len(names)
-                names.append("K_%s.c%d" % (lit_name(signed), j))
-            incidences.append((i, j))
-    gmap.incidences = tuple(incidences)
-
-    forced = set()
-    for i, j in incidences:
-        six = (gmap.head, gmap.shoulder[i], gmap.knee[(-i, j)],
-               gmap.foot, gmap.knee[(i, j)], gmap.shoulder[-i])
-        for idx in range(6):
-            forced.add(normalized_edge(six[idx], six[(idx + 1) % 6]))
-    for j, clause in enumerate(formula.clauses, start=1):
+            incidence(abs(lit), j)
         active, inactive = gmap.clause_knees(j)
         for q in range(3):
             forced.add(normalized_edge(active[q], active[(q + 1) % 3]))
             # Pendants: inactive knee of slot q+1 hangs off active knee q.
             forced.add(normalized_edge(inactive[(q + 1) % 3], active[q]))
-    forced.add(normalized_edge(gmap.head, gmap.w1))
-    forced.add(normalized_edge(gmap.w1, gmap.w2))
-    forced.add(normalized_edge(gmap.w2, gmap.foot))
 
     n = len(names)
-    forbidden = {normalized_edge(gmap.head, gmap.foot)}
-    for i in range(1, formula.num_vars + 1):
-        forbidden.add(normalized_edge(gmap.shoulder[i], gmap.shoulder[-i]))
-    for i, j in incidences:
-        forbidden.add(normalized_edge(gmap.knee[(i, j)], gmap.knee[(-i, j)]))
-    for w in (gmap.w1, gmap.w2):
-        for v in range(n):
-            if v != w:
-                e = normalized_edge(w, v)
-                if e not in forced:
-                    forbidden.add(e)
-
-    optional = set(itertools.combinations(range(n), 2)) - forced - forbidden
+    # W1 and W2 are adjacent to nothing but their path neighbours.
+    core = [v for v in range(n) if v not in (W1, W2)]
+    optional = set(itertools.combinations(core, 2)) - forced - forbidden
 
     inst = SandwichInstance(n, forced, optional, names)
     gmap.instance = inst
@@ -159,12 +155,12 @@ def completion_from_assignment(gmap, assignment):
         raise ValueError("assignment must cover variables 1..%d"
                          % gmap.num_vars)
     edges = set()
-    for i, j in gmap.incidences:
-        edges.update(gmap.orientation_edges(i, j, assignment[i]))
+    for (i, _), bundles in gmap.bundles.items():
+        edges.update(bundles[assignment[i]])
     true_shoulders = [gmap.shoulder[i if assignment[i] else -i]
                       for i in range(1, gmap.num_vars + 1)]
     true_knees = [gmap.knee[(i if assignment[i] else -i, j)]
-                  for i, j in gmap.incidences]
+                  for i, j in gmap.bundles]
     for clique in (true_shoulders, true_knees):
         edges.update(itertools.combinations(sorted(clique), 2))
     for s in true_shoulders:
@@ -172,7 +168,7 @@ def completion_from_assignment(gmap, assignment):
             edges.add(normalized_edge(s, k))
     for i in range(1, gmap.num_vars + 1):
         if not gmap.variable_incidences(i):
-            edges.add(normalized_edge(gmap.foot, true_shoulders[i - 1]))
+            edges.add(normalized_edge(FOOT, true_shoulders[i - 1]))
     return frozenset(edges & gmap.instance.optional)
 
 
@@ -182,8 +178,8 @@ def read_orientation(gmap, g, var, clause):
     positive/negative when exactly that bundle of three edges is fully
     present, both/none otherwise.
     """
-    pos = all(g.has_edge(*e) for e in gmap.orientation_edges(var, clause, True))
-    neg = all(g.has_edge(*e) for e in gmap.orientation_edges(var, clause, False))
+    neg, pos = (all(g.has_edge(*e) for e in bundle)
+                for bundle in gmap.bundles[(var, clause)])
     if pos and neg:
         return "both"
     if pos:
@@ -204,7 +200,6 @@ def extract_assignment(gmap, g):
     no clauses.
     """
     assignment = {}
-    anchor = None
     for i in range(1, gmap.num_vars + 1):
         incidences = gmap.variable_incidences(i)
         if not incidences:
@@ -218,16 +213,13 @@ def extract_assignment(gmap, g):
             raise OrientationError(
                 "incidence (%d, clause %d) has no orientation" % (i, j))
         assignment[i] = statuses == {POSITIVE}
-        if anchor is None:
-            anchor = i
+    if not assignment:
+        return dict.fromkeys(range(1, gmap.num_vars + 1), False)
+    anchor = min(assignment)
+    true_shoulder = gmap.shoulder[anchor if assignment[anchor] else -anchor]
     for i in range(1, gmap.num_vars + 1):
-        if i in assignment:
-            continue
-        if anchor is None:
-            assignment[i] = False
-        else:
-            t = gmap.shoulder[anchor if assignment[anchor] else -anchor]
-            assignment[i] = g.has_edge(gmap.shoulder[i], t)
+        if i not in assignment:
+            assignment[i] = g.has_edge(gmap.shoulder[i], true_shoulder)
     return assignment
 
 
@@ -367,13 +359,15 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
     and each expanded state is one node.  A node propagates its decisions
     and splits on the optional edge foot-S_x of the next variable x, in
     (x true) before out, skipping a side propagation has decided the other
-    way; a leaf checks the canonical completion of its assignment.  A
-    failing leaf must propagate to a contradiction, and raises
-    AssertionError when it does not or when its assignment satisfies the
-    formula.  The split is exhaustive, so no SAT leaf means an exact UNSAT
-    (docs/solver.md).  `budget` caps nodes, and a finite one caps each
-    leaf's recognition search at DEFAULT_CHECK_BUDGET steps; None leaves
-    both unlimited.
+    way; a leaf realizes and checks on `inst` the canonical completion of
+    its assignment, cut to the pairs optional in `inst`.  A failing leaf
+    must propagate to a contradiction, and raises AssertionError when it
+    does not or when its assignment satisfies the formula.  The split is
+    exhaustive, so no SAT leaf means an exact UNSAT on `gmap.instance` and
+    on instances that force whole orientation bundles; on any other
+    instance the search may raise (docs/solver.md).  `budget` caps nodes,
+    and a finite one caps each leaf's recognition search at
+    DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.
     """
     check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
 
@@ -382,11 +376,11 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
         var = len(assignment) + 1
         leaf = var > formula.num_vars
         if leaf:
-            chosen = completion_from_assignment(gmap, assignment)
-            g = gmap.instance.realize(chosen)
-            if check(g, "even-hole-free", budget=check_budget)[0]:
-                return Completion(frozenset(e for e in inst.optional
-                                            if g.has_edge(*e)))
+            chosen = (completion_from_assignment(gmap, assignment)
+                      & inst.optional)
+            if check(inst.realize(chosen), "even-hole-free",
+                     budget=check_budget)[0]:
+                return Completion(chosen)
             if formula.satisfied_by(assignment):
                 raise AssertionError(
                     "canonical completion of satisfying assignment %r of %r "

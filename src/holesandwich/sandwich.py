@@ -38,8 +38,9 @@ class SandwichInstance(namedtuple("SandwichInstance",
 
     Pairs are stored as frozensets of (u, v) with u < v, names as a tuple
     or None.  Construction checks the input once: one ValueError lists a
-    count or endpoint that is a bool or no int, a negative count, every
-    loop, out-of-range pair, forced-optional overlap and bad name.
+    count that is a bool or no int, a negative count, every edge that is
+    not a pair of such ints, loop, out-of-range pair, forced-optional
+    overlap and bad name.
     """
 
     __slots__ = ()
@@ -54,12 +55,16 @@ class SandwichInstance(namedtuple("SandwichInstance",
         stored = []
         for label, edges in (("forced", forced), ("optional", optional)):
             pairs = set()
-            for u, v in edges:
+            for e in edges:
+                try:
+                    u, v = e
+                except (TypeError, ValueError):
+                    u = v = None
                 if _is_int(u) and _is_int(v):
                     pairs.add((u, v) if u < v else (v, u))
                 else:
-                    errors.append("%s edge %r has a non-integer end"
-                                  % (label, (u, v)))
+                    errors.append("%s edge %r is not a pair of ints"
+                                  % (label, e))
             for u, v in sorted(e for e in pairs if not 0 <= e[0] < e[1] < top):
                 errors.append("%s edge %r %s" % (
                     label, (u, v), "is a loop" if u == v else "out of range"))

@@ -1,6 +1,7 @@
 """Command-line behaviour: pipelines, exit codes, file round trips."""
 
 import gc
+import io
 import json
 import os
 import subprocess
@@ -110,11 +111,15 @@ def test_solve_roles_keeps_generic_solver_for_odd_instances(workdir, capsys):
     assert capsys.readouterr().out == plain
 
 
-def test_reduce_writes_parseable_instance(workdir, capsys):
+def test_reduce_writes_parseable_instance(workdir, capsys, monkeypatch):
     assert run("reduce-even", workdir / "xyz.cnf") == 0
     text = capsys.readouterr().out
     inst = parse_instance(text)
     assert inst.n == 16 and len(inst.optional) == 60
+    # An instance path of - reads stdin.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run("check", "-", "--property", "chordal", "--graph", "g1") == 1
+    assert capsys.readouterr().out.startswith("chordal: false")
 
 
 # -- complement ------------------------------------------------------------------
@@ -258,6 +263,9 @@ def test_usage_errors_exit_two(workdir, capsys):
         assert run("reduce-even", workdir / "bad.cnf",
                    "--out", workdir / "bad-out.inst") == 2
         assert "error:" in capsys.readouterr().err
+    assert run("reduce-even", workdir / "xyz.cnf",
+               "--out", workdir / "no-such-dir" / "out.inst") == 2
+    assert "cannot write" in capsys.readouterr().err
     for text in ("5\n", "null\n"):
         (workdir / "bad.roles.json").write_text(text)
         assert run("extract", workdir / "bad.inst", "--roles",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from holesandwich.budget import BudgetExhausted
 from holesandwich.graph import (Graph, canonical_rotation, is_bipartite,
                                is_hole, iter_chordless_cycles)
+from holesandwich.sandwich import normalized_edge
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, find_gem, find_induced_path,
                                  path_graph, triangles)
@@ -37,6 +38,12 @@ def test_rejects_loops_and_out_of_range():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1)
+    with pytest.raises(ValueError, match="subset out of range"):
+        Graph(3).induced([0, 3])
+    with pytest.raises(ValueError, match="loop edge at vertex 2"):
+        normalized_edge(2, 2)
 
 
 def test_accessors_on_square():

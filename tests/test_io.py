@@ -80,6 +80,8 @@ def test_completion_round_trip():
     assert text == "completion 1\ne 0 2\n"
     assert parse_completion(text, inst) == {(0, 2)}
     assert parse_completion("completion 0\n", inst) == frozenset()
+    assert parse_completion("# note\n\ncompletion\n  \ne 0 2\n", inst) \
+        == {(0, 2)}
 
 
 @pytest.mark.parametrize("text, message", [

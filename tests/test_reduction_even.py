@@ -1,5 +1,6 @@
 """The even-hole construction: census, completions, propagation, solving."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from holesandwich.cnf import CnfFormula, all_assignments
 from holesandwich import reduction_even
 from holesandwich.graph import canonical_rotation, is_hole
+from holesandwich.io import format_instance
 from holesandwich.recognition import check
 from holesandwich.reduction_even import (OrientationError,
                                          build_even_instance,
@@ -41,6 +43,28 @@ def test_single_clause_counts_frozen():
         "S_!x3"]
     assert inst.name(gmap.knee[(1, 1)]) == "K_x1.c1"
     assert inst.name(gmap.knee[(-3, 1)]) == "K_!x3.c1"
+
+
+# sha256 of format_instance for each one-clause sign pattern, then
+# TWO_CLAUSES: the construction's exact bytes, vertex numbering included.
+FROZEN_SHA256 = {
+    (1, 2, 3): "bd5b4e2bf0a7548a18a62945c859f369ac02ae99727d7802bc29b6773d4bfdb6",
+    (1, 2, -3): "f7c3f5446096d1dea1f7f6b0bfb5a09d6161c414e4e6a1e4569f0e294df7f49f",
+    (1, -2, 3): "8fc02e96d37d43a926dfab28f56e40aa6639f07963fd6aae0a85d26bcdb4e362",
+    (1, -2, -3): "3d01be1a6376ea014448db525f08f7b9c0b946ed66bf79c0146195f73eb368a2",
+    (-1, 2, 3): "8741f7fe476f9ee54769feae972916d8afb4bbc9f02933396781217de72269a3",
+    (-1, 2, -3): "a5080856e00d22775b57391ca79bc7676fae8ca4d75d007fd166609381bdeaa0",
+    (-1, -2, 3): "31bd44eb78010872b020997f3ff2b20e4af2c987ea906dece1a8c362c5b55e81",
+    (-1, -2, -3): "88bd1bcb063807d2edb96950da07c2d73e2b12429a58e7589a39c56c42e88490",
+    None: "aa10eae23edd259fa160af86bb56d0ed1db73c71c43f8c9c826ba1373cc13e04",
+}
+
+
+@pytest.mark.parametrize("clause", list(FROZEN_SHA256))
+def test_instance_bytes_frozen(clause):
+    formula = TWO_CLAUSES if clause is None else CnfFormula(3, (clause,))
+    text = format_instance(build_even_instance(formula)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_SHA256[clause]
 
 
 def test_w_path_is_isolated_except_its_ends():
@@ -177,11 +201,14 @@ def test_head_knee_decision_forces_the_positive_bundle():
 
 def test_propagation_rejects_decisions_on_non_optional_pairs():
     inst, gmap = build()
-    with pytest.raises(ValueError):
-        propagate_orientations(
-            inst, gmap, {normalized_edge(gmap.head, gmap.foot): True})
+    head_foot = normalized_edge(gmap.head, gmap.foot)
+    with pytest.raises(ValueError, match="includes forbidden edge"):
+        propagate_orientations(inst, gmap, {head_foot: True})
     with pytest.raises(ValueError, match="excludes forced edge"):
         propagate_orientations(inst, gmap, {min(inst.forced): False})
+    # Excluding a forbidden pair agrees with the instance and is accepted.
+    assert propagate_orientations(inst, gmap, {head_foot: False}) \
+        == propagate_orientations(inst, gmap, {})
 
 
 def test_all_negative_orientations_contradict():
@@ -303,6 +330,21 @@ def test_unrefuted_failing_leaf_raises(monkeypatch):
                         lambda self, assignment: False)
     with pytest.raises(AssertionError, match="does not refute"):
         solve_with_orientations(XYZ, inst, gmap, budget=None)
+
+
+def test_leaf_checks_the_instance_being_solved():
+    # Forcing the optional pair K_x2.c1-K_!x3.c1 closes the four-hole
+    # (K_!x1.c1, K_x2.c1, K_!x3.c1, K_!x2.c1) in the canonical completions
+    # the search reaches.  Its leaves check on this instance, not on
+    # gmap.instance, so it cannot answer SAT with a graph that has the hole;
+    # it raises, since the split is exact only for whole bundles.
+    formula = CnfFormula(3, ((-1, -2, 3),))
+    inst, gmap = build_even_instance(formula)
+    e = normalized_edge(gmap.knee[(2, 1)], gmap.knee[(-3, 1)])
+    moved = SandwichInstance(inst.n, inst.forced | {e}, inst.optional - {e},
+                             inst.names)
+    with pytest.raises(AssertionError, match="satisfying assignment"):
+        solve_with_orientations(formula, moved, gmap)
 
 
 def test_orientation_solver_reports_budget_exhaustion():

@@ -48,10 +48,13 @@ def test_build_rejects_overlap_and_range():
         SandwichInstance(3, {(0, 3)}, set())
     with pytest.raises(ValueError):
         SandwichInstance(3, {(1, 1)}, set())
-    # A vertex count or an endpoint is an int and no bool, and a count is
-    # not negative; anything else is the same one ValueError, not a
-    # TypeError now or a failed index in a later solve.
+    # A vertex count or an endpoint is an int and no bool, a count is not
+    # negative, and an edge is a pair; anything else is the same one
+    # ValueError, not a TypeError now or a failed index in a later solve.
     for n, forced, optional in ((3, [(0.0, 1.0)], [(1, 2)]),
+                                (3, [(0, 1, 2)], []),
+                                (3, [5], []),
+                                (3, [], [(0,)]),
                                 (-1, [], []),
                                 (3.0, [(0, 1)], []),
                                 (3, [("a", 1)], []),
