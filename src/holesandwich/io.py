@@ -56,12 +56,8 @@ def parse_instance(text):
             if len(parts) != 3:
                 raise InstanceFormatError(
                     "line %d: edge line must be '%s <u> <v>'" % (lineno, kind))
-            u = _vertex(parts[1], n, lineno)
-            v = _vertex(parts[2], n, lineno)
-            if u == v:
-                raise InstanceFormatError(
-                    "line %d: self-loop on vertex %d" % (lineno, u))
-            (forced if kind == "f" else optional).append(normalized_edge(u, v))
+            (forced if kind == "f" else optional).append(
+                _pair(parts, n, lineno))
         else:
             raise InstanceFormatError(
                 "line %d: unknown record %r" % (lineno, kind))
@@ -122,12 +118,7 @@ def parse_completion(text, inst):
         if parts[0] != "e" or len(parts) != 3:
             raise InstanceFormatError(
                 "line %d: completion lines are 'e <u> <v>'" % lineno)
-        u = _vertex(parts[1], inst.n, lineno)
-        v = _vertex(parts[2], inst.n, lineno)
-        if u == v:
-            raise InstanceFormatError(
-                "line %d: self-loop on vertex %d" % (lineno, u))
-        chosen.append(normalized_edge(u, v))
+        chosen.append(_pair(parts, inst.n, lineno))
     if not seen_header:
         raise InstanceFormatError("missing 'completion' header")
     if len(set(chosen)) != len(chosen):
@@ -230,3 +221,13 @@ def _vertex(token, n, lineno):
         raise InstanceFormatError(
             "line %d: vertex %d out of range 0..%d" % (lineno, v, n - 1))
     return v
+
+
+def _pair(parts, n, lineno):
+    """The normalised pair of a `<kind> <u> <v>` line's two vertex ids."""
+    u = _vertex(parts[1], n, lineno)
+    v = _vertex(parts[2], n, lineno)
+    if u == v:
+        raise InstanceFormatError(
+            "line %d: self-loop on vertex %d" % (lineno, u))
+    return normalized_edge(u, v)

@@ -47,33 +47,39 @@ class Certificate(namedtuple("Certificate", "kind vertices")):
     __slots__ = ()
 
 
-def first_violation(g, prop, budget=DEFAULT_CHECK_BUDGET):
-    """Certificate of the first structure in `g` violating `prop`, or None.
-
-    The property's `FORBIDDEN` entries are searched in order; the first
-    structure found is the answer.  Holes come in canonical enumeration
-    order, an odd one is not searched for in a 2-colourable graph, and a
-    chordal graph is accepted by its maximum-cardinality-search order before
-    any cycle search.  The certificate's vertex set lives in `g` either way,
-    and every way to destroy the structure adds a non-edge in it.
-
-    `budget` caps the steps of all searches of one call together; None
-    means unlimited.  Exhaustion raises BudgetExhausted.
-    """
-    cert = _search(g, prop, budget)
-    return None if cert is None or cert.kind == "peo" else cert
-
-
 def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     """Decide `prop` for `g`; returns (verdict, certificate_or_None).
 
-    A negative verdict carries `first_violation`'s certificate; a positive
-    chordality verdict carries a perfect elimination order.  `budget` is
-    `first_violation`'s: exhaustion raises BudgetExhausted and the verdict
+    A negative verdict carries the first structure found: the property's
+    `FORBIDDEN` entries are searched in order, holes in canonical
+    enumeration order, and an odd one is not searched for in a
+    2-colourable graph.  The certificate's vertex set lives in `g`, and
+    every way to destroy the structure adds a non-edge in it.  A chordal
+    graph is accepted by its maximum-cardinality-search order before any
+    cycle search, and that perfect elimination order is its certificate.
+
+    `budget` caps the steps of all searches of one call together; None
+    means unlimited.  Exhaustion raises BudgetExhausted and the verdict
     stays unknown.
     """
-    cert = _search(g, prop, budget)
-    return cert is None or cert.kind == "peo", cert
+    if prop not in FORBIDDEN:
+        raise ValueError("unknown property id %r" % (prop,))
+    if prop == "chordal":
+        order = _mcs_order(g)
+        if _verify_peo(g, order):
+            return True, Certificate("peo", order)
+    tracker = Budget(budget)
+    for kind, shape in FORBIDDEN[prop]:
+        host = g if kind == "hole" else g.complement()
+        if shape == 5 and g.n <= C5_SCAN_MAX_VERTICES:
+            found = _scan_c5(host, tracker)
+        elif shape == "odd" and is_bipartite(host):
+            found = None
+        else:
+            found = _first_cycle(host, tracker, shape)
+        if found is not None:
+            return False, Certificate(kind, found)
+    return True, None
 
 
 def verify_certificate(g, prop, verdict, cert):
@@ -99,29 +105,6 @@ def verify_certificate(g, prop, verdict, cert):
 
 
 # -- internals ---------------------------------------------------------------
-
-def _search(g, prop, budget):
-    """`check`'s certificate: a perfect elimination order when `prop` is
-    chordal and `g` passes, else `first_violation`'s."""
-    if prop not in FORBIDDEN:
-        raise ValueError("unknown property id %r" % (prop,))
-    if prop == "chordal":
-        order = _mcs_order(g)
-        if _verify_peo(g, order):
-            return Certificate("peo", order)
-    tracker = Budget(budget)
-    for kind, shape in FORBIDDEN[prop]:
-        host = g if kind == "hole" else g.complement()
-        if shape == 5 and g.n <= C5_SCAN_MAX_VERTICES:
-            found = _scan_c5(host, tracker)
-        elif shape == "odd" and is_bipartite(host):
-            found = None
-        else:
-            found = _first_cycle(host, tracker, shape)
-        if found is not None:
-            return Certificate(kind, found)
-    return None
-
 
 def _fits(length, shape):
     """True when a chordless cycle of `length` has a FORBIDDEN entry's shape."""

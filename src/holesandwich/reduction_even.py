@@ -357,17 +357,17 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
 
     Depth-first over variables; a state is a pair (decisions, assignment)
     and each expanded state is one node.  A node propagates its decisions
-    and splits on the optional edge foot-S_x of the next variable x, in
-    (x true) before out, skipping a side propagation has decided the other
-    way; a leaf realizes and checks on `inst` the canonical completion of
-    its assignment, cut to the pairs optional in `inst`.  A failing leaf
-    must propagate to a contradiction, and raises AssertionError when it
-    does not or when its assignment satisfies the formula.  The split is
-    exhaustive, so no SAT leaf means an exact UNSAT on `gmap.instance` and
-    on instances that force whole orientation bundles; on any other
-    instance the search may raise (docs/solver.md).  `budget` caps nodes,
-    and a finite one caps each leaf's recognition search at
-    DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.
+    and splits on the pair foot-S_x of the next variable x, in (x true)
+    before out, skipping a side that propagation or the instance has decided
+    the other way; a leaf realizes and checks on `inst` the canonical
+    completion of its assignment, cut to the pairs optional in `inst`.  A
+    failing leaf must propagate to a contradiction, and raises
+    AssertionError when it does not or when its assignment satisfies the
+    formula.  The split is exhaustive, so no SAT leaf means an exact UNSAT
+    on `gmap.instance` and on instances that force whole orientation
+    bundles; on any other instance the search may raise (docs/solver.md).
+    `budget` caps nodes, and a finite one caps each leaf's recognition
+    search at DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.
     """
     check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
 
@@ -394,6 +394,8 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
                 % (assignment, formula))
         merged = {**decided, **result.forced}
         e = normalized_edge(gmap.foot, gmap.shoulder[var])
+        if e not in inst.optional:
+            merged[e] = e in inst.forced
         return [({**merged, e: side}, {**assignment, var: side})
                 for side in (True, False) if merged.get(e, side) == side]
 

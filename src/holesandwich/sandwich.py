@@ -18,10 +18,7 @@ from math import inf
 from .budget import Budget, BudgetExhausted
 from .cnf import _is_int
 from .graph import Graph
-# No code here calls `check`; the benchmark's tracing test reads
-# sandwich.check to see that instrumentation restores every binding.
-from .recognition import (DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check,
-                          first_violation)
+from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
 
 DEFAULT_SOLVE_BUDGET = 10 ** 6
 
@@ -165,13 +162,14 @@ def depth_first(root, expand, budget):
 def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
     """Exact sandwich search by three-state backtracking.
 
-    Optional edges are in, out, or undecided.  Each node locates the first
-    violating structure of the forced-plus-in graph (a hole, C5, or antihole,
-    in canonical enumeration order).  The structure can only be repaired by
-    adding one of its undecided optional non-edges, so the node branches on
-    the first such repair pair, in-branch first; with no repair pair left the
-    branch is dead.  When nothing violates the property, remaining undecided
-    edges are decided out and the node's graph is the completion.
+    Optional edges are in, out, or undecided.  Each node calls `check` once
+    on the forced-plus-in graph.  A true verdict ends the search: remaining
+    undecided edges are decided out and the node's graph is the completion.
+    Otherwise the certificate is the first violating structure (a hole, C5,
+    or antihole, in canonical enumeration order), which can only be repaired
+    by adding one of its undecided optional non-edges, so the node branches
+    on the first such repair pair, in-branch first; with no repair pair left
+    the branch is dead.
 
     `budget` caps search nodes, and a finite one caps each violation search
     at DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.  On exhaustion
@@ -198,10 +196,10 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         g = Graph._from_masks(inst.n, adj)
-        violation = first_violation(g, prop, check_budget)
-        if violation is None:
+        verdict, cert = check(g, prop, check_budget)
+        if verdict:
             return Completion(frozenset(chosen))
-        for e in combinations(sorted(violation.vertices), 2):
+        for e in combinations(sorted(cert.vertices), 2):
             if (not g.has_edge(*e) and e in inst.optional
                     and e not in decided):
                 return [(e, True, state), (e, False, state)]

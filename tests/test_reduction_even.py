@@ -415,6 +415,23 @@ def test_descent_refutes_below_the_root(monkeypatch):
     assert (result.verdict, result.nodes, len(calls)) == ("UNSAT", 4, 4)
 
 
+def test_split_skips_the_side_the_instance_excludes():
+    # x1's positive bundle holds foot-S_x1, so committing x1 true forces the
+    # split pair and only its in-branch is taken.  With x1 true the clauses
+    # reduce to the four sign patterns of (x2 | x3), which nothing
+    # satisfies; with x1 false every clause holds.
+    formula = CnfFormula(3, ((-1, 2, 3), (-1, -2, 3), (-1, 2, -3),
+                             (-1, -2, -3)))
+    inst, gmap = build_even_instance(formula)
+    split = normalized_edge(gmap.foot, gmap.shoulder[1])
+    for positive, verdict in ((True, "UNSAT"), (False, "SAT")):
+        committed = commit_bundles(inst, gmap, {1: positive})
+        assert (split in committed.forced) == positive
+        result = solve_with_orientations(formula, committed, gmap,
+                                         budget=None)
+        assert (result.verdict, result.nodes) == (verdict, 4)
+
+
 def test_budget_frontier_counts_open_out_branches():
     # Budget b stops the descent at its (b+1)-th call, below b splits that
     # each took their in-branch.  Plain, every one of their out-branches is

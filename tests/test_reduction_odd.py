@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holesandwich import sandwich
 from holesandwich.cnf import CnfFormula, all_assignments
 from holesandwich.recognition import check
 from holesandwich.reduction_odd import (GadgetError, build_c5_instance,
@@ -246,6 +247,21 @@ def test_one_clause_search_is_pinned(clause, prop):
     nodes, chosen = SEARCH_PINS[(clause, prop)]
     assert (result.verdict, result.nodes) == ("SAT", nodes)
     assert sorted(result.completion.chosen) == chosen
+
+
+def test_each_node_searches_through_check(monkeypatch):
+    # `check` is the one violation search: solve calls it once per node.
+    calls = []
+
+    def counting(g, prop, budget):
+        calls.append(prop)
+        return check(g, prop, budget)
+
+    monkeypatch.setattr(sandwich, "check", counting)
+    inst, _ = build_c5_instance(XYZ)
+    result = solve(inst, "c5-free")
+    assert (result.verdict, result.nodes) == ("SAT", 23)
+    assert calls == ["c5-free"] * 23
 
 
 # -- oracle cross-check on a tiny sub-gadget -------------------------------------
