@@ -30,9 +30,10 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-REDUCTIONS = {"c5-free": build_c5_instance,
-              "odd-hole-free": build_odd_hole_free_instance,
-              "even-hole-free": build_even_instance}
+# kind -> (builder, extractor of a sandwich graph of the builder's instance)
+REDUCTIONS = {"c5-free": (build_c5_instance, extract_odd),
+              "odd-hole-free": (build_odd_hole_free_instance, extract_odd),
+              "even-hole-free": (build_even_instance, extract_even)}
 
 
 class CliError(Exception):
@@ -92,7 +93,7 @@ def _rebuild_from_roles(payload):
     kind = payload["reduction"]
     if not isinstance(kind, str) or kind not in REDUCTIONS:
         raise CliError("roles file names unknown reduction %r" % (kind,))
-    inst, gmap = REDUCTIONS[kind](formula)
+    inst, gmap = REDUCTIONS[kind][0](formula)
     expected = roles_payload(kind, formula, inst)["vertex_roles"]
     if payload["vertex_roles"] != expected:
         raise CliError("roles file's vertex_roles do not match the %s "
@@ -104,7 +105,7 @@ def _rebuild_from_roles(payload):
 
 def _cmd_reduce(args):
     formula = _parse(args.cnf, parse_dimacs)
-    inst, _ = REDUCTIONS[args.property](formula)
+    inst, _ = REDUCTIONS[args.property][0](formula)
     _write(args.out, format_instance(inst))
     roles = args.roles
     if roles is None and args.out != "-":
@@ -180,12 +181,7 @@ def _cmd_extract(args):
         _parse(args.roles, load_roles))
     g = inst.realize(_parse(args.completion, parse_completion, inst))
     try:
-        if kind == "even-hole-free":
-            assignment = extract_even(gmap, g)
-        elif kind == "odd-hole-free":
-            assignment = extract_odd(gmap, g.complement())
-        else:
-            assignment = extract_odd(gmap, g)
+        assignment = REDUCTIONS[kind][1](gmap, g)
     except (GadgetError, OrientationError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FALSE

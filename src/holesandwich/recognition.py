@@ -71,8 +71,9 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     tracker = Budget(budget)
     for kind, shape in FORBIDDEN[prop]:
         host = g if kind == "hole" else g.complement()
-        if shape == 5 and g.n <= C5_SCAN_MAX_VERTICES:
-            found = _scan_c5(host, tracker)
+        if (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
+                and not _scan_c5(host, tracker)):
+            found = None
         elif shape == "odd" and is_bipartite(host):
             found = None
         else:
@@ -173,12 +174,13 @@ def _first_cycle(g, budget, shape):
 
 
 def _scan_c5(g, budget):
-    """Vertex order of some induced five-cycle, or None, by five-subset scan.
+    """True when some five vertices induce a cycle, by five-subset scan.
 
     Five vertices induce a C5 exactly when each has two neighbours inside
     the subset (a 2-regular graph on five vertices is connected).  The
     C(n-a-1, 4) subsets whose smallest vertex is a are paid for from
-    `budget` before they are scanned.
+    `budget` before they are scanned.  The scan only tests existence; the
+    certificate comes from the path search, in enumeration order.
     """
     n, adj = g.n, g.adj
     for a in range(n):
@@ -190,18 +192,5 @@ def _scan_c5(g, budget):
                 mask |= 1 << v
             if (all((adj[v] & mask).bit_count() == 2 for v in rest)
                     and (adj[a] & mask).bit_count() == 2):
-                return _walk_cycle(g, (a,) + rest)
-    return None
-
-
-def _walk_cycle(g, subset):
-    """Cycle order of a subset known to induce a cycle, canonical direction."""
-    start = min(subset)
-    inside = {v: sorted(u for u in subset if u != v and g.has_edge(u, v))
-              for v in subset}
-    order = [start, inside[start][0]]
-    while len(order) < len(subset):
-        prev, cur = order[-2], order[-1]
-        order.append(next(u for u in inside[cur] if u != prev))
-    return tuple(order)
-
+                return True
+    return False

@@ -51,11 +51,14 @@ class OddGadgetMap:
     instance's entire constraint system, and verify.five_cycle_census checks
     that no other five-cycle can become induced.  repeater_chords values are
     (outward_chord, inward_chord): outward faces the clause, inward faces
-    the variable.
+    the variable.  complemented is true only on the map of
+    build_odd_hole_free_instance, whose instance is the complement of the
+    C5 instance the roles were built in.
     """
 
     def __init__(self, num_vars, clauses):
         self.num_vars, self.clauses = num_vars, clauses
+        self.complemented = False
         self.true_chord = {}       # var -> edge
         self.false_chord = {}      # var -> edge
         self.clause_edges = {}     # clause -> 3 optional edges
@@ -139,9 +142,11 @@ def build_odd_hole_free_instance(formula):
     antiholes of length 7 or more; the only odd antihole a sandwich graph can
     contain is a C5 (its own complement).  So C5-freeness coincides with
     odd-antihole-freeness there, and the complement transform turns the
-    question into odd-hole-freeness of the complemented instance.
+    question into odd-hole-freeness of the complemented instance, which
+    the returned map, marked complemented, translates.
     """
     inst, gmap = build_c5_instance(formula)
+    gmap.complemented = True
     return complement_instance(inst), gmap
 
 
@@ -152,9 +157,10 @@ def completion_from_assignment(gmap, assignment):
     true literal gives up its clause edge and fires its release chain
     (inward repeater chords in, outward out); the other two slots keep their
     clause edges and park their repeaters the opposite way.  Every gadget
-    five-cycle ends up broken.  Raises ValueError unless the assignment
-    covers exactly variables 1..n, and GadgetError if it does not satisfy
-    the formula.
+    five-cycle ends up broken.  On a complemented map the completion is the
+    other optional pairs, whose sandwich graph is the complement of that
+    C5-free one.  Raises ValueError unless the assignment covers exactly
+    variables 1..n, and GadgetError if it does not satisfy the formula.
     """
     if set(assignment) != set(range(1, gmap.num_vars + 1)):
         raise ValueError("assignment must cover variables 1..%d"
@@ -175,6 +181,10 @@ def completion_from_assignment(gmap, assignment):
                 chosen.update((gmap.release_edge[(j, q)], c_in, v_in))
             else:
                 chosen.update((gmap.clause_edges[j][q - 1], c_out, v_out))
+    if gmap.complemented:
+        # The breakers are exactly the instance's optional pairs.
+        return frozenset(e for _, breakers in gmap.five_cycles
+                         for e in breakers if e not in chosen)
     return frozenset(chosen)
 
 
@@ -182,9 +192,12 @@ def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's variable chords.
 
     A variable is true iff its true-chord is present (true-chord wins when
-    both chords are).  Raises GadgetError naming the variable if some gadget
-    has neither chord.
+    both chords are); on a complemented map the chords are read in the
+    complement of `g`.  Raises GadgetError naming the variable if some
+    gadget has neither chord.
     """
+    if gmap.complemented:
+        g = g.complement()
     assignment = {}
     for i in range(1, gmap.num_vars + 1):
         t_in = g.has_edge(*gmap.true_chord[i])

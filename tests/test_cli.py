@@ -258,6 +258,11 @@ def test_usage_errors_exit_two(workdir, capsys):
                  (workdir / "ok.inst", "--completion", workdir / "plus.comp")):
         assert run("check", *argv, "--property", "chordal") == 2
         assert "error:" in capsys.readouterr().err
+    # --completion and --graph each pick the graph to check.
+    (workdir / "ok.comp").write_text("completion\ne 0 1\n")
+    assert run("check", workdir / "ok.inst", "--property", "chordal",
+               "--completion", workdir / "ok.comp", "--graph", "g1") == 2
+    assert "mutually exclusive" in capsys.readouterr().err
     for text in ("p cnf \u0663 1\n1 2 3 0\n", "p cnf 3 1\n+1 2 3 0\n"):
         (workdir / "bad.cnf").write_text(text, encoding="utf-8")
         assert run("reduce-even", workdir / "bad.cnf",

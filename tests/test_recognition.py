@@ -1,5 +1,6 @@
 """Property recognition: frozen examples, oracle agreement, certificates."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -228,6 +229,22 @@ def test_c5_path_search_matches_oracle(g):
         verdict, cert = check(g, "c5-free")
     assert verdict == property_oracle(g.n, g.edges(), "c5-free")
     assert verify_certificate(g, "c5-free", verdict, cert)
+
+
+def test_c5_scan_keeps_the_path_search_certificate():
+    # The scan only decides whether a C5 exists, so below the threshold the
+    # certificate is still the first C5 in enumeration order.
+    rng = random.Random(7)
+    graphs = []
+    for _ in range(400):
+        n, density = rng.randint(6, 14), rng.uniform(0.2, 0.7)
+        graphs.append(Graph(n, [p for p in combinations(range(n), 2)
+                                if rng.random() < density]))
+    scanned = [check(g, "c5-free") for g in graphs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recognition, "C5_SCAN_MAX_VERTICES", 0)
+        searched = [check(g, "c5-free") for g in graphs]
+    assert scanned == searched
 
 
 def test_c5_path_search_above_the_scan_threshold():

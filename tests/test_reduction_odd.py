@@ -212,9 +212,7 @@ def test_odd_hole_free_variant_solves_and_extracts():
     assert result.verdict == "SAT"
     g = inst.realize(result.completion.chosen)
     assert check(g, "odd-hole-free")[0]
-    # Chord conventions live in the uncomplemented world.
-    assignment = extract_assignment(gmap, g.complement())
-    assert XYZ.satisfied_by(assignment)
+    assert XYZ.satisfied_by(extract_assignment(gmap, g))
 
 
 # -- the search, pinned -----------------------------------------------------------
