@@ -52,9 +52,10 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
 
     A negative verdict carries the first structure found: the property's
     `FORBIDDEN` entries are searched in order, holes in canonical
-    enumeration order, and an odd one is not searched for in a
-    2-colourable graph.  The certificate's vertex set lives in `g`, and
-    every way to destroy the structure adds a non-edge in it.  A chordal
+    enumeration order.  An odd shape (odd, or length 5) is not searched
+    for in a 2-colourable host, which has no odd cycle, and spends no
+    budget there.  The certificate's vertex set lives in `g`, and every
+    way to destroy the structure adds a non-edge in it.  A chordal
     graph is accepted by its maximum-cardinality-search order before any
     cycle search, and that perfect elimination order is its certificate.
 
@@ -71,10 +72,10 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     tracker = Budget(budget)
     for kind, shape in FORBIDDEN[prop]:
         host = g if kind == "hole" else g.complement()
-        if (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
-                and not _scan_c5(host, tracker)):
+        if shape in ("odd", 5) and is_bipartite(host):
             found = None
-        elif shape == "odd" and is_bipartite(host):
+        elif (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
+                and not _scan_c5(host, tracker)):
             found = None
         else:
             found = _first_cycle(host, tracker, shape)

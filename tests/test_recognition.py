@@ -72,12 +72,32 @@ def test_bipartite_graphs_are_odd_hole_free():
 
 def test_bipartite_graphs_skip_the_odd_hole_search():
     # K20,20 has 36,100 four-holes; enumerating them to rule out an odd hole
-    # spends far more than 1,000 expansions.
+    # spends far more than 1,000 expansions, and the five-subset scan would
+    # pay C(39, 4) = 82,251 up front.
     k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)])
-    for prop in ("odd-hole-free", "berge"):
+    for prop in ("c5-free", "odd-hole-free", "berge"):
         assert check(k20, prop, budget=1000) == (True, None)
     ok, cert = check(k20, "even-hole-free", budget=1000)
     assert not ok and len(cert.vertices) == 4
+
+
+def two_sided_graphs(max_n=16):
+    """Hypothesis strategy: a graph whose edges all join the two sides of a
+    random split of its vertices."""
+    def build(n, sides, bits):
+        cross = [(u, v) for u, v in combinations(range(n), 2)
+                 if (sides >> u ^ sides >> v) & 1]
+        return Graph(n, [p for i, p in enumerate(cross) if bits >> i & 1])
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.builds(build, st.just(n), st.integers(0, 2 ** n - 1),
+                            st.integers(0, 2 ** (n * n // 4) - 1)))
+
+
+@given(two_sided_graphs())
+@settings(max_examples=60)
+def test_two_sided_graphs_spend_no_budget_on_odd_shapes(g):
+    for prop in ("c5-free", "odd-hole-free"):
+        assert check(g, prop, budget=0) == (True, None)
 
 
 def test_six_cycle_is_berge():
@@ -277,8 +297,12 @@ def test_tiny_budget_exhausts():
 
 def test_c5_scan_spends_the_budget():
     # The five-subset scan pays for the C(n-a-1, 4) subsets whose smallest
-    # vertex is a before it scans them: C(39, 4) = 82,251 at a = 0.
-    k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)])
+    # vertex is a before it scans them: C(39, 4) = 82,251 at a = 0.  The
+    # edge (0, 1) gives K20,20 a triangle, so the graph is not 2-colourable
+    # and still takes the scan, but every cycle through it is a triangle or
+    # has a chord: there is no C5.
+    k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)]
+                + [(0, 1)])
     with pytest.raises(BudgetExhausted):
         check(k20, "c5-free", budget=1000)
     assert check(k20, "c5-free") == (True, None)
