@@ -53,8 +53,9 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     A negative verdict carries the first structure found: the property's
     `FORBIDDEN` entries are searched in order, holes in canonical
     enumeration order.  An odd shape (odd, or length 5) is not searched
-    for in a 2-colourable host, which has no odd cycle, and spends no
-    budget there.  The certificate's vertex set lives in `g`, and every
+    for in a 2-colourable host, which has no odd cycle, nor a C5 in a
+    chordal host, which has no hole, before the five-subset scan; neither
+    spends budget.  The certificate's vertex set lives in `g`, and every
     way to destroy the structure adds a non-edge in it.  A chordal
     graph is accepted by its maximum-cardinality-search order before any
     cycle search, and that perfect elimination order is its certificate.
@@ -75,7 +76,8 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
         if shape in ("odd", 5) and is_bipartite(host):
             found = None
         elif (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
-                and not _scan_c5(host, tracker)):
+                and (_verify_peo(host, _mcs_order(host))
+                     or not _scan_c5(host, tracker))):
             found = None
         else:
             found = _first_cycle(host, tracker, shape)
@@ -180,7 +182,8 @@ def _scan_c5(g, budget):
     Five vertices induce a C5 exactly when each has two neighbours inside
     the subset (a 2-regular graph on five vertices is connected).  The
     C(n-a-1, 4) subsets whose smallest vertex is a are paid for from
-    `budget` before they are scanned.  The scan only tests existence; the
+    `budget` before they are scanned.  `check` scans no 2-colourable or
+    chordal host, which has no C5.  The scan only tests existence; the
     certificate comes from the path search, in enumeration order.
     """
     n, adj = g.n, g.adj

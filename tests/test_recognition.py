@@ -100,6 +100,35 @@ def test_two_sided_graphs_spend_no_budget_on_odd_shapes(g):
         assert check(g, prop, budget=0) == (True, None)
 
 
+def chordal_graphs():
+    """Hypothesis strategy: a chordal graph on 5 to 40 vertices with a
+    triangle on 0, 1, 2, in which each later vertex joins a subset of a
+    clique of earlier ones."""
+    def build(n, picks):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        cliques = [(0, 1, 2)]
+        for v, (which, bits) in zip(range(3, n), picks):
+            clique = cliques[which % len(cliques)]
+            joined = tuple(u for i, u in enumerate(clique) if bits >> i & 1)
+            edges += [(u, v) for u in joined]
+            cliques.append(joined + (v,))
+        return Graph(n, edges)
+    picks = st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 40 - 1))
+    return st.integers(5, 40).flatmap(
+        lambda n: st.builds(build, st.just(n),
+                            st.lists(picks, min_size=n - 3, max_size=n - 3)))
+
+
+@given(chordal_graphs())
+@settings(max_examples=60)
+def test_chordal_graphs_spend_no_budget_on_c5(g):
+    # The triangle makes the graph not 2-colourable, so only chordality
+    # keeps it from the five-subset scan, which pays C(n-1, 4) up front.
+    assert check(g, "c5-free", budget=0) == (True, None)
+    if g.n <= 10:
+        assert property_oracle(g.n, g.edges(), "c5-free")
+
+
 def test_six_cycle_is_berge():
     ok, cert = check(cycle_graph(6), "berge")
     assert ok and cert is None
@@ -298,11 +327,13 @@ def test_tiny_budget_exhausts():
 def test_c5_scan_spends_the_budget():
     # The five-subset scan pays for the C(n-a-1, 4) subsets whose smallest
     # vertex is a before it scans them: C(39, 4) = 82,251 at a = 0.  The
-    # edge (0, 1) gives K20,20 a triangle, so the graph is not 2-colourable
-    # and still takes the scan, but every cycle through it is a triangle or
-    # has a chord: there is no C5.
+    # edge (0, 1) gives K20,20 a triangle, so the graph is not 2-colourable,
+    # and its four-holes make it not chordal: it still takes the scan.  But
+    # every cycle through (0, 1) is a triangle or has a chord: there is no
+    # C5.
     k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)]
                 + [(0, 1)])
+    assert check(k20, "chordal")[0] is False
     with pytest.raises(BudgetExhausted):
         check(k20, "c5-free", budget=1000)
     assert check(k20, "c5-free") == (True, None)
