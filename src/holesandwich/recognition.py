@@ -52,13 +52,14 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
 
     A negative verdict carries the first structure found: the property's
     `FORBIDDEN` entries are searched in order, holes in canonical
-    enumeration order.  An odd shape (odd, or length 5) is not searched
-    for in a 2-colourable host, which has no odd cycle, nor a C5 in a
-    chordal host, which has no hole, before the five-subset scan; neither
-    spends budget.  The certificate's vertex set lives in `g`, and every
-    way to destroy the structure adds a non-edge in it.  A chordal
-    graph is accepted by its maximum-cardinality-search order before any
-    cycle search, and that perfect elimination order is its certificate.
+    enumeration order.  Before an entry's five-subset scan or path
+    search, a 2-colourable host, which has no odd cycle, rules out an odd
+    shape (odd, or length 5), and a chordal host, which has no hole, rules
+    out every entry; neither spends budget.  Chordality is one pass of
+    maximum cardinality search, and the perfect elimination order it
+    returns is the certificate of a chordal graph.  The certificate's
+    vertex set lives in `g`, and every way to destroy the structure adds
+    a non-edge in it.
 
     `budget` caps the steps of all searches of one call together; None
     means unlimited.  Exhaustion raises BudgetExhausted and the verdict
@@ -66,21 +67,20 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     """
     if prop not in FORBIDDEN:
         raise ValueError("unknown property id %r" % (prop,))
-    if prop == "chordal":
-        order = _mcs_order(g)
-        if _verify_peo(g, order):
-            return True, Certificate("peo", order)
     tracker = Budget(budget)
     for kind, shape in FORBIDDEN[prop]:
         host = g if kind == "hole" else g.complement()
         if shape in ("odd", 5) and is_bipartite(host):
-            found = None
-        elif (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
-                and (_verify_peo(host, _mcs_order(host))
-                     or not _scan_c5(host, tracker))):
-            found = None
-        else:
-            found = _first_cycle(host, tracker, shape)
+            continue
+        order = _peo(host)
+        if order is not None:
+            if prop == "chordal":
+                return True, Certificate("peo", order)
+            continue
+        if (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
+                and not _scan_c5(host, tracker)):
+            continue
+        found = _first_cycle(host, tracker, shape)
         if found is not None:
             return False, Certificate(kind, found)
     return True, None
@@ -117,24 +117,45 @@ def _fits(length, shape):
     return length >= 4 and shape in (None, ("even", "odd")[length % 2])
 
 
-def _mcs_order(g):
-    """Maximum cardinality search, reversed: a perfect elimination order
-    exactly when `g` is chordal, which one `_verify_peo` pass decides."""
-    n = g.n
-    weights = [0] * n
-    visited = [False] * n
-    visit_order = []
+def _peo(g):
+    """A perfect elimination order of `g`, or None when `g` is not chordal.
+
+    Maximum cardinality search (Tarjan & Yannakakis 1984), reversed, with
+    the unvisited vertices of w visited neighbours in the mask `levels[w]`.
+    Each vertex's visited neighbours must form a clique; the earlier
+    vertices having passed, that holds when all are adjacent to the latest
+    visited of them, and the search stops at the first that fails.
+    """
+    n, adj = g.n, g.adj
+    levels = [(1 << n) - 1] + [0] * n
+    top = visited = 0
+    order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best < 0 or weights[v] > weights[best]):
-                best = v
-        visited[best] = True
-        visit_order.append(best)
-        for u in _bits(g.adj[best]):
-            if not visited[u]:
-                weights[u] += 1
-    return tuple(reversed(visit_order))
+        while not levels[top]:
+            top -= 1
+        low = levels[top] & -levels[top]
+        levels[top] ^= low
+        v = low.bit_length() - 1
+        earlier = adj[v] & visited
+        if earlier:
+            for latest in reversed(order):
+                if earlier >> latest & 1:
+                    break
+            if earlier & ~adj[latest] & ~(1 << latest):
+                return None
+        visited |= low
+        order.append(v)
+        rising = adj[v] & ~visited
+        w = top
+        while rising:
+            moved = levels[w] & rising
+            levels[w] ^= moved
+            levels[w + 1] |= moved
+            rising ^= moved
+            w -= 1
+        top += 1
+    return tuple(reversed(order))
+
 
 def _verify_peo(g, order):
     """One-pass perfect-elimination check.

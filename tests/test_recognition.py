@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holesandwich import recognition
@@ -120,13 +120,47 @@ def chordal_graphs():
 
 
 @given(chordal_graphs())
+@example(path_graph(4))
 @settings(max_examples=60)
-def test_chordal_graphs_spend_no_budget_on_c5(g):
+def test_chordal_graphs_spend_no_budget(g):
     # The triangle makes the graph not 2-colourable, so only chordality
-    # keeps it from the five-subset scan, which pays C(n-1, 4) up front.
-    assert check(g, "c5-free", budget=0) == (True, None)
+    # keeps it from the five-subset scan, which pays C(n-1, 4) up front,
+    # and from the path searches.  P4 is 2-colourable, which rules out no
+    # even hole.  The complement is the antihole host.
+    for prop in ("c5-free", "odd-hole-free", "even-hole-free"):
+        assert check(g, prop, budget=0) == (True, None)
+    verdict, cert = check(g, "chordal", budget=0)
+    assert verdict and verify_certificate(g, "chordal", verdict, cert)
+    assert check(g.complement(), "odd-antihole-free", budget=0) == (True, None)
     if g.n <= 10:
         assert property_oracle(g.n, g.edges(), "c5-free")
+
+
+def test_peo_decides_chordality():
+    # The search stops at the first vertex that breaks the clique
+    # condition, so it returns None exactly when the graph has a hole.
+    rng = random.Random(11)
+    for _ in range(600):
+        n, density = rng.randint(0, 12), rng.uniform(0.1, 0.9)
+        g = Graph(n, [p for p in combinations(range(n), 2)
+                      if rng.random() < density])
+        order = recognition._peo(g)
+        assert (order is None) == bool(chordless_cycles(g))
+        assert order is None or recognition._verify_peo(g, order)
+
+
+def test_chordal_certificates_frozen():
+    # Ties in the search go to the smallest vertex, so a chordal graph has
+    # one certificate.
+    fan = Graph(6, [(0, v) for v in range(1, 6)]
+                + [(v, v + 1) for v in range(1, 5)])
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    triangulated = Graph(6, ring + [(0, 4), (4, 1), (1, 3)])
+    for g, order in ((complete_graph(4), (3, 2, 1, 0)),
+                     (path_graph(6), (5, 4, 3, 2, 1, 0)),
+                     (fan, (5, 4, 3, 2, 1, 0)),
+                     (triangulated, (5, 2, 3, 4, 1, 0))):
+        assert check(g, "chordal") == (True, Certificate("peo", order))
 
 
 def test_six_cycle_is_berge():
