@@ -158,33 +158,18 @@ def _peo(g):
 
 
 def _verify_peo(g, order):
-    """One-pass perfect-elimination check.
-
-    For each vertex, its later neighbours minus the earliest of them must all
-    be adjacent to that earliest one; chasing the requirement forward verifies
-    the clique condition in O(V + E) mask operations.
-    """
-    n = g.n
-    if sorted(order) != list(range(n)):
+    """True when `order` is a perfect elimination order of `g`: a
+    permutation of its vertices in which each vertex's later neighbours
+    are pairwise adjacent."""
+    if sorted(order) != list(range(g.n)):
         return False
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    later = [0] * n
-    for v in range(n):
-        mask = 0
-        for u in _bits(g.adj[v]):
-            if pos[u] > pos[v]:
-                mask |= 1 << u
-        later[v] = mask
-    for v in range(n):
-        mask = later[v]
-        if not mask:
-            continue
-        parent = min(_bits(mask), key=lambda u: pos[u])
-        rest = mask & ~(1 << parent)
-        if rest & ~g.adj[parent]:
-            return False
+    later = 0
+    for v in reversed(order):
+        around = g.adj[v] & later
+        for u in _bits(around):
+            if around & ~g.adj[u] & ~(1 << u):
+                return False
+        later |= 1 << v
     return True
 
 

@@ -30,8 +30,6 @@ from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
 
 IN, OUT, UND = 1, 0, 2
 
-POSITIVE, NEGATIVE = "positive", "negative"
-
 # The fixed role vertices; every other vertex belongs to a polarity pair.
 HEAD, FOOT, W1, W2 = 0, 1, 2, 3
 
@@ -43,29 +41,20 @@ class OrientationError(Exception):
 class EvenGadgetMap:
     """Vertex roles of a built instance.
 
-    head, foot, w1 and w2 are the fixed vertices 0-3.  shoulder is keyed by
-    signed variable (+i positive, -i negative), knee by (signed variable,
-    clause index), with 1-based clause indices.  bundles maps each
-    incidence (variable, clause), in construction order, to its (negative,
-    positive) orientation bundles, so a truth value indexes it.  instance
-    is a back-reference to the built SandwichInstance.
-    build_even_instance fills in all but the formula's fields.
+    The fixed roles are the module constants HEAD, FOOT, W1 and W2, the
+    vertices 0-3.  shoulder is keyed by signed variable (+i positive, -i
+    negative), knee by (signed variable, clause index), with 1-based clause
+    indices.  bundles maps each incidence (variable, clause), in
+    construction order, to its (negative, positive) orientation bundles of
+    three optional edges each, so a truth value indexes it.  instance is a
+    back-reference to the built SandwichInstance.  build_even_instance
+    fills in all but the formula's fields.
     """
-
-    head, foot, w1, w2 = HEAD, FOOT, W1, W2
 
     def __init__(self, formula):
         self.num_vars, self.clauses = formula.num_vars, formula.clauses
         self.shoulder, self.knee, self.bundles = {}, {}, {}
         self.instance = None
-
-    @property
-    def incidences(self):
-        return tuple(self.bundles)
-
-    def orientation_edges(self, var, clause, positive):
-        """The three optional edges of one orientation of one incidence."""
-        return self.bundles[(var, clause)][positive]
 
     def clause_knees(self, clause):
         """(active, inactive) knee tuples of a clause, in literal order."""
@@ -73,15 +62,6 @@ class EvenGadgetMap:
         active = tuple(self.knee[(lit, clause)] for lit in lits)
         inactive = tuple(self.knee[(-lit, clause)] for lit in lits)
         return active, inactive
-
-    def variable_incidences(self, var):
-        return tuple(j for v, j in self.bundles if v == var)
-
-    def knees(self):
-        return tuple(sorted(self.knee.values()))
-
-    def shoulders(self):
-        return tuple(sorted(self.shoulder.values()))
 
 
 def build_even_instance(formula):
@@ -164,55 +144,38 @@ def completion_from_assignment(gmap, assignment):
     for clique in (true_shoulders, true_knees):
         edges.update(itertools.combinations(sorted(clique), 2))
     for s in true_shoulders:
-        for k in gmap.knees():
-            edges.add(normalized_edge(s, k))
-    for i in range(1, gmap.num_vars + 1):
-        if not gmap.variable_incidences(i):
-            edges.add(normalized_edge(FOOT, true_shoulders[i - 1]))
+        edges.update(normalized_edge(s, k) for k in gmap.knee.values())
+    unused = set(range(1, gmap.num_vars + 1)) - {i for i, _ in gmap.bundles}
+    edges.update(normalized_edge(FOOT, true_shoulders[i - 1]) for i in unused)
     return frozenset(edges & gmap.instance.optional)
-
-
-def read_orientation(gmap, g, var, clause):
-    """Orientation of one incidence in a realized graph.
-
-    positive/negative when exactly that bundle of three edges is fully
-    present, both/none otherwise.
-    """
-    neg, pos = (all(g.has_edge(*e) for e in bundle)
-                for bundle in gmap.bundles[(var, clause)])
-    if pos and neg:
-        return "both"
-    if pos:
-        return POSITIVE
-    if neg:
-        return NEGATIVE
-    return "none"
 
 
 def extract_assignment(gmap, g):
     """Read the assignment off a realized sandwich graph's orientations.
 
-    All incidences of a variable must carry the same orientation.  Raises
-    OrientationError naming the variable when both polarities occur, and
-    naming the incidence when one has neither.  Variables with no
-    occurrences are read off the true-shoulder clique against the first
-    oriented variable's shoulder, defaulting to false when the instance has
-    no clauses.
+    Each incidence reads as the pair (negative, positive) of whether that
+    bundle of `gmap.bundles` is fully present.  All incidences of a
+    variable must carry the same one orientation.  Raises OrientationError
+    for the lowest variable at fault: naming the variable when both
+    orientations occur among its incidences, else naming its first
+    incidence that carries neither.  Variables with no occurrences are read
+    off the true-shoulder clique against the first oriented variable's
+    shoulder, defaulting to false when the instance has no clauses.
     """
+    read = {}
+    for (i, j), bundles in gmap.bundles.items():
+        read.setdefault(i, {})[j] = tuple(
+            all(g.has_edge(*e) for e in bundle) for bundle in bundles)
     assignment = {}
-    for i in range(1, gmap.num_vars + 1):
-        incidences = gmap.variable_incidences(i)
-        if not incidences:
-            continue
-        status = {j: read_orientation(gmap, g, i, j) for j in incidences}
-        statuses = set(status.values())
-        if "both" in statuses or (POSITIVE in statuses and NEGATIVE in statuses):
+    for i in sorted(read):
+        neg, pos = (any(pair[k] for pair in read[i].values()) for k in (0, 1))
+        if neg and pos:
             raise OrientationError("variable %d carries both orientations" % i)
-        if "none" in statuses:
-            j = next(j for j in incidences if status[j] == "none")
-            raise OrientationError(
-                "incidence (%d, clause %d) has no orientation" % (i, j))
-        assignment[i] = statuses == {POSITIVE}
+        for j, pair in read[i].items():
+            if pair == (False, False):
+                raise OrientationError(
+                    "incidence (%d, clause %d) has no orientation" % (i, j))
+        assignment[i] = pos
     if not assignment:
         return dict.fromkeys(range(1, gmap.num_vars + 1), False)
     anchor = min(assignment)
@@ -223,15 +186,15 @@ def extract_assignment(gmap, g):
     return assignment
 
 
-class PropagationResult(namedtuple("PropagationResult",
-                                   "status forced certificate",
+class PropagationResult(namedtuple("PropagationResult", "forced certificate",
                                    defaults=(None,))):
     """Outcome of orientation propagation.
 
-    status is "ok" or "contradiction"; forced maps optional edges to the
-    decisions derived beyond the input ones; on contradiction, certificate
-    is an even hole induced in the graph of forced plus decided-in edges,
-    as a vertex tuple in canonical order (`graph.canonical_rotation`).
+    forced maps optional edges to the decisions derived beyond the input
+    ones.  certificate is None at a fixpoint; a contradiction is its
+    certificate, an even hole induced in the graph of forced plus
+    decided-in edges, as a vertex tuple in canonical order
+    (`graph.canonical_rotation`).
     """
 
     __slots__ = ()
@@ -280,10 +243,9 @@ def propagate_orientations(inst, gmap, decided):
             continue
         put(*e, IN if val else OUT)
 
-    core = [v for v in range(n) if v not in (gmap.w1, gmap.w2)]
-    knees = gmap.knees()
-    shoulders = gmap.shoulders()
-    head, foot = gmap.head, gmap.foot
+    core = [v for v in range(n) if v not in (W1, W2)]
+    knees = sorted(gmap.knee.values())
+    shoulders = sorted(gmap.shoulder.values())
     forced_log = {}
 
     while True:
@@ -330,23 +292,22 @@ def propagate_orientations(inst, gmap, decided):
             for s in shoulders:
                 if state[k * n + s] != IN:
                     continue
-                hk = state[head * n + k]
-                fs = state[foot * n + s]
+                hk = state[HEAD * n + k]
+                fs = state[FOOT * n + s]
                 if hk == IN or fs == IN:
                     continue
                 if hk == OUT and fs == OUT:
-                    contradictions.append((head, gmap.w1, gmap.w2, foot, k, s))
+                    contradictions.append((HEAD, W1, W2, FOOT, k, s))
                 elif hk == OUT:
-                    force(foot, s, True)
+                    force(FOOT, s, True)
                 elif fs == OUT:
-                    force(head, k, True)
+                    force(HEAD, k, True)
 
         if contradictions:
             cert = min(contradictions, key=lambda c: (len(c), sorted(c)))
-            return PropagationResult("contradiction", forced_log,
-                                     canonical_rotation(cert))
+            return PropagationResult(forced_log, canonical_rotation(cert))
         if not batch:
-            return PropagationResult("ok", forced_log)
+            return PropagationResult(forced_log)
         for e, val in batch.items():
             put(*e, IN if val else OUT)
             forced_log[e] = val
@@ -386,14 +347,14 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
                     "canonical completion of satisfying assignment %r of %r "
                     "is not even-hole-free" % (assignment, formula))
         result = propagate_orientations(inst, gmap, decided)
-        if result.status == "contradiction":
+        if result.certificate is not None:
             return []
         if leaf:
             raise AssertionError(
                 "propagation does not refute falsifying assignment %r of %r"
                 % (assignment, formula))
         merged = {**decided, **result.forced}
-        e = normalized_edge(gmap.foot, gmap.shoulder[var])
+        e = normalized_edge(FOOT, gmap.shoulder[var])
         if e not in inst.optional:
             merged[e] = e in inst.forced
         return [({**merged, e: side}, {**assignment, var: side})

@@ -27,7 +27,8 @@ from .budget import Budget
 from .cnf import CnfFormula
 from .graph import Graph, _bits, canonical_rotation, iter_chordless_cycles
 from .recognition import PROPERTY_IDS, check
-from .reduction_even import (build_even_instance, completion_from_assignment,
+from .reduction_even import (W1, W2, build_even_instance,
+                             completion_from_assignment,
                              extract_assignment as extract_even,
                              propagate_orientations, solve_with_orientations)
 from .reduction_odd import build_c5_instance, extract_assignment as extract_odd
@@ -538,12 +539,12 @@ def even_propagation_chain(seed=DEFAULT_SEED):
     inst, gmap = build_even_instance(formula)
     decided = {}
     for var in (1, 2, 3):
-        for e in gmap.orientation_edges(var, 1, False):
+        for e in gmap.bundles[(var, 1)][False]:
             decided[e] = True
     result = propagate_orientations(inst, gmap, decided)
     problems = []
-    if result.status != "contradiction":
-        problems.append("status=%s" % result.status)
+    if result.certificate is None:
+        problems.append("no contradiction")
     else:
         need = [
             (gmap.knee[(-3, 1)], gmap.knee[(-1, 1)]),
@@ -581,10 +582,10 @@ def even_instance_census(seed=DEFAULT_SEED):
     if counts != (16, 27, 33, 60):
         problems.append("counts %r != (16, 27, 33, 60)" % (counts,))
     g2 = inst.g2()
-    if (g2.degree(gmap.w1), g2.degree(gmap.w2)) != (2, 2):
+    if (g2.degree(W1), g2.degree(W2)) != (2, 2):
         problems.append("W vertices do not have degree 2 in the allowed graph")
     core_forbidden = [e for e in inst.forbidden()
-                      if gmap.w1 not in e and gmap.w2 not in e]
+                      if W1 not in e and W2 not in e]
     touched = [v for e in core_forbidden for v in e]
     if len(touched) != len(set(touched)):
         problems.append("forbidden pairs off the W path are not a matching")

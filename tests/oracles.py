@@ -220,6 +220,21 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
             derived[e] = val
 
 
+def peo_oracle(n, edges, order):
+    """True when `order` lists 0..n-1 once each and the neighbours each
+    vertex has later in it are pairwise adjacent (a perfect elimination
+    order)."""
+    order = list(order)
+    if sorted(order) != list(range(n)):
+        return False
+    present = edge_set(edges)
+    for i, v in enumerate(order):
+        later = [u for u in order[i + 1:] if (min(u, v), max(u, v)) in present]
+        if any(pair not in present for pair in combinations(sorted(later), 2)):
+            return False
+    return True
+
+
 def triangle_count_trace(n, edges):
     """Triangle count as trace(A^3)/6, an algebraically independent route."""
     a = np.zeros((n, n), dtype=np.int64)

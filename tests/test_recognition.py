@@ -15,7 +15,7 @@ from holesandwich.recognition import (PROPERTY_IDS, Certificate, check,
 from holesandwich.verify import (chordless_cycles, complete_graph,
                                  cycle_graph, path_graph)
 
-from oracles import petersen_edges, property_oracle
+from oracles import peo_oracle, petersen_edges, property_oracle
 
 from test_graph import small_graphs
 
@@ -147,6 +147,31 @@ def test_peo_decides_chordality():
         order = recognition._peo(g)
         assert (order is None) == bool(chordless_cycles(g))
         assert order is None or recognition._verify_peo(g, order)
+
+
+def test_verify_peo_matches_the_definition():
+    # _peo's own orders, the same with two entries swapped, random
+    # permutations and lists that are no permutation of the vertices, so
+    # that rejection is exercised as well as acceptance.
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        n, density = rng.randint(0, 9), rng.uniform(0.1, 0.9)
+        edges = [p for p in combinations(range(n), 2) if rng.random() < density]
+        g = Graph(n, edges)
+        orders = [rng.sample(range(n), n), list(range(n))[1:],
+                  [rng.randrange(n + 1) for _ in range(n)]]
+        peo = recognition._peo(g)
+        if peo is not None and n >= 2:
+            swapped = list(peo)
+            i, j = rng.sample(range(n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            orders += [peo, swapped]
+        for order in orders:
+            verdict = recognition._verify_peo(g, tuple(order))
+            assert verdict == peo_oracle(n, edges, order), (n, edges, order)
+            outcomes.add((sorted(order) == list(range(n)), verdict))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def test_chordal_certificates_frozen():

@@ -11,12 +11,12 @@ from holesandwich import reduction_even
 from holesandwich.graph import canonical_rotation, is_hole
 from holesandwich.io import format_instance
 from holesandwich.recognition import check
-from holesandwich.reduction_even import (OrientationError,
+from holesandwich.reduction_even import (FOOT, HEAD, W1, W2,
+                                         OrientationError,
                                          build_even_instance,
                                          completion_from_assignment,
                                          extract_assignment,
                                          propagate_orientations,
-                                         read_orientation,
                                          solve_with_orientations)
 from holesandwich.sandwich import SandwichInstance, normalized_edge, solve
 from holesandwich.verify import is_sandwich_graph
@@ -70,20 +70,20 @@ def test_instance_bytes_frozen(clause):
 def test_w_path_is_isolated_except_its_ends():
     inst, gmap = build()
     g2 = inst.g2()
-    assert g2.degree(gmap.w1) == 2 and g2.degree(gmap.w2) == 2
-    assert g2.has_edge(gmap.head, gmap.w1)
-    assert g2.has_edge(gmap.w1, gmap.w2)
-    assert g2.has_edge(gmap.w2, gmap.foot)
+    assert g2.degree(W1) == 2 and g2.degree(W2) == 2
+    assert g2.has_edge(HEAD, W1)
+    assert g2.has_edge(W1, W2)
+    assert g2.has_edge(W2, FOOT)
 
 
 def test_forbidden_pairs_off_w_form_a_perfect_matching():
     inst, gmap = build()
     off_w = [e for e in inst.forbidden()
-             if gmap.w1 not in e and gmap.w2 not in e]
+             if W1 not in e and W2 not in e]
     assert len(off_w) == 7  # HF + 3 shoulder pairs + 3 knee pairs
     touched = [v for e in off_w for v in e]
-    assert sorted(touched) == sorted(set(range(16)) - {gmap.w1, gmap.w2})
-    assert normalized_edge(gmap.head, gmap.foot) in off_w
+    assert sorted(touched) == sorted(set(range(16)) - {W1, W2})
+    assert normalized_edge(HEAD, FOOT) in off_w
     for i in (1, 2, 3):
         assert normalized_edge(gmap.shoulder[i], gmap.shoulder[-i]) in off_w
         assert normalized_edge(gmap.knee[(i, 1)], gmap.knee[(-i, 1)]) in off_w
@@ -94,15 +94,14 @@ def test_incidence_six_cycles_are_forced_holes():
     g1 = inst.g1()
     for lit in (1, -2, 3):
         i = abs(lit)
-        ring = (gmap.head, gmap.shoulder[i], gmap.knee[(-i, 1)], gmap.foot,
+        ring = (HEAD, gmap.shoulder[i], gmap.knee[(-i, 1)], FOOT,
                 gmap.knee[(i, 1)], gmap.shoulder[-i])
         assert is_hole(g1, ring)
 
 
 def test_orientation_edges_disjoint_and_optional():
     inst, gmap = build()
-    pos = set(gmap.orientation_edges(1, 1, True))
-    neg = set(gmap.orientation_edges(1, 1, False))
+    neg, pos = map(set, gmap.bundles[(1, 1)])
     assert len(pos) == 3 and len(neg) == 3 and not pos & neg
     assert pos <= inst.optional and neg <= inst.optional
 
@@ -126,7 +125,7 @@ def test_completion_minus_w_chordal_iff_satisfying(clause):
     assignment satisfies; the knee four-hole survives the W deletion."""
     f = CnfFormula(3, (clause,))
     inst, gmap = build_even_instance(f)
-    keep = [v for v in range(inst.n) if v not in (gmap.w1, gmap.w2)]
+    keep = [v for v in range(inst.n) if v not in (W1, W2)]
     for assignment in all_assignments(3):
         g = inst.realize(completion_from_assignment(gmap, assignment))
         assert check(g.induced(keep), "chordal")[0] == \
@@ -137,9 +136,10 @@ def test_completion_orientations_read_back():
     inst, gmap = build(MIXED)
     assignment = {1: True, 2: True, 3: False}
     g = inst.realize(completion_from_assignment(gmap, assignment))
-    assert read_orientation(gmap, g, 1, 1) == "positive"
-    assert read_orientation(gmap, g, 2, 1) == "positive"
-    assert read_orientation(gmap, g, 3, 1) == "negative"
+    for var, value in assignment.items():
+        matching, other = (gmap.bundles[(var, 1)][p] for p in (value, not value))
+        assert all(g.has_edge(*e) for e in matching)
+        assert not all(g.has_edge(*e) for e in other)
     assert extract_assignment(gmap, g) == assignment
 
 
@@ -170,14 +170,51 @@ def test_extraction_rejects_mixed_and_missing_orientations():
     inst, gmap = build()
     assignment = {1: True, 2: False, 3: True}
     chosen = completion_from_assignment(gmap, assignment)
-    both = chosen | set(gmap.orientation_edges(1, 1, False))
+    both = chosen | set(gmap.bundles[(1, 1)][False])
     with pytest.raises(OrientationError,
                        match="^variable 1 carries both orientations$"):
         extract_assignment(gmap, inst.realize(both))
-    short = chosen - {normalized_edge(gmap.head, gmap.knee[(1, 1)])}
+    short = chosen - {normalized_edge(HEAD, gmap.knee[(1, 1)])}
     with pytest.raises(OrientationError,
                        match=r"^incidence \(1, clause 1\) has no orientation$"):
         extract_assignment(gmap, inst.realize(short))
+
+
+def test_extraction_precedence_across_incidences():
+    # Variables 1 and 3 occur in both clauses of TWO_CLAUSES.  The
+    # completion of an assignment holds no head-knee edge outside its
+    # bundles, so adding a bundle or dropping a bundle's head-knee edge
+    # changes one incidence's reading only.
+    inst, gmap = build(TWO_CLAUSES)
+    assignment = {1: True, 2: False, 3: True, 4: False}
+    chosen = completion_from_assignment(gmap, assignment)
+
+    def extract(add=(), drop=()):
+        edges = set(chosen)
+        edges.update(e for incidence, positive in add
+                     for e in gmap.bundles[incidence][positive])
+        edges.difference_update(gmap.bundles[incidence][positive][0]
+                                for incidence, positive in drop)
+        return extract_assignment(gmap, inst.realize(frozenset(edges)))
+
+    assert extract() == assignment
+    cases = [
+        # Variable 1 reads positive in clause 1 and negative in clause 2.
+        ({((1, 2), False)}, {((1, 2), True)},
+         "variable 1 carries both orientations"),
+        # Within variable 1, clause 2 reading both beats clause 1 reading none.
+        ({((1, 2), False)}, {((1, 1), True)},
+         "variable 1 carries both orientations"),
+        # Variable 1 has no orientation in clause 2, variable 3 has both in
+        # clause 1: the lowest variable at fault is named.
+        ({((3, 1), False)}, {((1, 2), True)},
+         r"incidence \(1, clause 2\) has no orientation"),
+        ({((4, 1), True)}, {((3, 1), True), ((3, 2), True)},
+         r"incidence \(3, clause 1\) has no orientation"),
+    ]
+    for add, drop, message in cases:
+        with pytest.raises(OrientationError, match="^%s$" % message):
+            extract(add, drop)
 
 
 # -- propagation ----------------------------------------------------------------
@@ -185,23 +222,23 @@ def test_extraction_rejects_mixed_and_missing_orientations():
 def test_propagation_with_no_decisions_is_open():
     inst, gmap = build()
     result = propagate_orientations(inst, gmap, {})
-    assert result.status == "ok"
+    assert result.certificate is None
     assert result.forced == {}
 
 
 def test_head_knee_decision_forces_the_positive_bundle():
     inst, gmap = build()
-    decided = {normalized_edge(gmap.head, gmap.knee[(1, 1)]): True}
+    decided = {normalized_edge(HEAD, gmap.knee[(1, 1)]): True}
     result = propagate_orientations(inst, gmap, decided)
-    assert result.status == "ok"
-    s, f = gmap.shoulder[1], gmap.foot
+    assert result.certificate is None
+    s, f = gmap.shoulder[1], FOOT
     assert result.forced.get(normalized_edge(s, f)) is True
     assert result.forced.get(normalized_edge(s, gmap.knee[(1, 1)])) is True
 
 
 def test_propagation_rejects_decisions_on_non_optional_pairs():
     inst, gmap = build()
-    head_foot = normalized_edge(gmap.head, gmap.foot)
+    head_foot = normalized_edge(HEAD, FOOT)
     with pytest.raises(ValueError, match="includes forbidden edge"):
         propagate_orientations(inst, gmap, {head_foot: True})
     with pytest.raises(ValueError, match="excludes forced edge"):
@@ -215,10 +252,10 @@ def test_all_negative_orientations_contradict():
     inst, gmap = build()
     decided = {}
     for var in (1, 2, 3):
-        for e in gmap.orientation_edges(var, 1, False):
+        for e in gmap.bundles[(var, 1)][False]:
             decided[e] = True
     result = propagate_orientations(inst, gmap, decided)
-    assert result.status == "contradiction"
+    assert result.certificate is not None
     expected = {gmap.knee[(1, 1)], gmap.knee[(2, 1)],
                 gmap.knee[(-1, 1)], gmap.knee[(-2, 1)]}
     assert set(result.certificate) == expected
@@ -246,15 +283,15 @@ def test_propagation_matches_reference(formula, trials):
     for _ in range(trials):
         decided = {e: rng.random() < 0.5
                    for e in rng.sample(optional, rng.randint(0, 6))}
-        for i, j in gmap.incidences:
+        for bundles in gmap.bundles.values():
             if rng.random() < 0.4:
-                for e in gmap.orientation_edges(i, j, rng.random() < 0.5):
+                for e in bundles[rng.random() < 0.5]:
                     decided[e] = True
         result = propagate_orientations(inst, gmap, decided)
         status, derived, certificate = propagation_oracle(
-            inst.n, inst.forced, inst.optional, decided, gmap.head,
-            gmap.foot, gmap.w1, gmap.w2, gmap.knees(), gmap.shoulders())
-        assert result.status == status
+            inst.n, inst.forced, inst.optional, decided, HEAD, FOOT, W1, W2,
+            gmap.knee.values(), gmap.shoulder.values())
+        assert (result.certificate is None) == (status == "ok")
         assert list(result.forced.items()) == derived
         assert result.certificate == certificate
         statuses.add((status, bool(derived)))
@@ -359,16 +396,15 @@ def test_forced_falsifying_orientations_are_unsat(monkeypatch):
     # the clause's knee four-cycle unavoidable, so UNSAT must be exact.
     inst, gmap = build()
     negative = set()
-    for var in (1, 2, 3):
-        for j in gmap.variable_incidences(var):
-            negative.update(gmap.orientation_edges(var, j, positive=False))
+    for bundles in gmap.bundles.values():
+        negative.update(bundles[False])
     assert len(negative) == 9
     committed = SandwichInstance(
         inst.n, frozenset(inst.forced) | negative,
         frozenset(inst.optional) - negative, inst.names)
 
     root = propagate_orientations(committed, gmap, {})
-    assert root.status == "contradiction"
+    assert root.certificate is not None
     assert sorted(root.certificate) == [10, 11, 12, 13]
 
     # The root contradiction refutes the whole descent: one propagation.
@@ -390,9 +426,8 @@ def test_forced_falsifying_orientations_are_unsat(monkeypatch):
 
 def commit_bundles(inst, gmap, commit):
     """The instance with each committed variable's orientation bundles forced."""
-    bundles = {e for var, positive in commit.items()
-               for j in gmap.variable_incidences(var)
-               for e in gmap.orientation_edges(var, j, positive)}
+    bundles = {e for (var, _), pair in gmap.bundles.items() if var in commit
+               for e in pair[commit[var]]}
     return SandwichInstance(inst.n, inst.forced | bundles,
                             inst.optional - bundles, inst.names)
 
@@ -423,7 +458,7 @@ def test_split_skips_the_side_the_instance_excludes():
     formula = CnfFormula(3, ((-1, 2, 3), (-1, -2, 3), (-1, 2, -3),
                              (-1, -2, -3)))
     inst, gmap = build_even_instance(formula)
-    split = normalized_edge(gmap.foot, gmap.shoulder[1])
+    split = normalized_edge(FOOT, gmap.shoulder[1])
     for positive, verdict in ((True, "UNSAT"), (False, "SAT")):
         committed = commit_bundles(inst, gmap, {1: positive})
         assert (split in committed.forced) == positive
