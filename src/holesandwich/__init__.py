@@ -30,8 +30,7 @@ _HOME = {name: module for module, names in (
     ("sandwich", "Completion SandwichInstance SolveResult "
                  "complement_instance solve"),
     ("verify", "SUITES CriterionResult brute_force_solve chordless_cycles "
-               "find_induced_path five_cycle_census is_sandwich_graph "
-               "run_suite structural_report triangles"),
+               "five_cycle_census is_sandwich_graph run_suite"),
 ) for name in names.split()}
 
 __all__ = sorted(_HOME)

@@ -211,9 +211,10 @@ def propagate_orientations(inst, gmap, decided):
       present 3-path whose closing edge is undecided and whose diagonals are
       both excluded forces the closing edge out.  Each 4-subset's six pair
       states are read once and shared by its three pairings;
-    * six-hole rule: a present knee-shoulder edge (kappa, sigma) closes the
-      six-cycle through W1/W2, so head-kappa or foot-sigma must be in; with
-      one out the other is forced, with both out the six-hole itself is the
+    * six-hole rule: a present knee-shoulder edge (kappa, sigma) with
+      head-sigma present closes the six-cycle through W1/W2 (foot-kappa is
+      always forced), so head-kappa or foot-sigma must be in; with one out
+      the other is forced, with both out the six-hole itself is the
       contradiction certificate.
 
     Contradictions found in the same round are ranked by (length, sorted
@@ -290,7 +291,7 @@ def propagate_orientations(inst, gmap, decided):
 
         for k in knees:
             for s in shoulders:
-                if state[k * n + s] != IN:
+                if state[k * n + s] != IN or state[HEAD * n + s] != IN:
                     continue
                 hk = state[HEAD * n + k]
                 fs = state[FOOT * n + s]

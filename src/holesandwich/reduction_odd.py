@@ -136,13 +136,12 @@ def build_c5_instance(formula):
 def build_odd_hole_free_instance(formula):
     """Odd-hole-free variant: the complement transform of the C5 instance.
 
-    The allowed graph of the C5 instance keeps every triangle-sharing
-    invariant of verify.structural_report, which rules out complements of
-    long paths and hence all
-    antiholes of length 7 or more; the only odd antihole a sandwich graph can
-    contain is a C5 (its own complement).  So C5-freeness coincides with
-    odd-antihole-freeness there, and the complement transform turns the
-    question into odd-hole-freeness of the complemented instance, which
+    The complement of C_k is (k-3)-regular, so no subgraph of a graph of
+    degeneracy d holds an antihole longer than d + 3.  The C5 instance's
+    allowed graph has degeneracy 2 (`verify.degeneracy_order` certifies
+    it), so a sandwich graph's only possible odd antihole is a C5.  There
+    C5-freeness is odd-antihole-freeness, and the complement transform
+    turns it into odd-hole-freeness of the complemented instance, which
     the returned map, marked complemented, translates.
     """
     inst, gmap = build_c5_instance(formula)

@@ -2,7 +2,7 @@
 
 Nine numbered checks cover recognition (exhaustive against a local
 brute-force oracle), the complement duality of sandwich solvability, solver
-exactness against brute force, the structural invariants and end-to-end
+exactness against brute force, the degeneracy certificate and end-to-end
 behaviour of the five-cycle reduction, and the census, forward direction,
 propagation chain, and end-to-end behaviour of the even-hole reduction.
 
@@ -11,12 +11,12 @@ adjacency) so the CLI `verify` command shares no logic with the code under
 test.  All randomness is seeded and the seed is reported in each result.
 
 This module is also the home of everything only these checks and the tests
-call: reference searches over graphs (`chordless_cycles`, `triangles`,
-`find_gem`, `find_induced_path`), the small graphs they are tried on
-(`path_graph`, `cycle_graph`, `complete_graph`), the reference solver
-`brute_force_solve`, and the five-cycle reduction's invariant checks
-(`structural_report`, `five_cycle_census`).  No CLI command but `verify`
-imports this module, so the others never compile that code at start-up.
+call: reference searches over graphs (`chordless_cycles`), the degeneracy
+certificate (`degeneracy_order`, checked by `later_degree`), the small
+graphs they are tried on (`path_graph`, `cycle_graph`, `complete_graph`),
+the reference solver `brute_force_solve`, and the five-cycle reduction's
+census (`five_cycle_census`).  No CLI command but `verify` imports this
+module, so the others never compile that code at start-up.
 """
 
 import random
@@ -56,72 +56,54 @@ def chordless_cycles(g, budget=None):
                   key=lambda c: (len(c), c))
 
 
-def triangles(g):
-    """All 3-cliques as sorted (u, v, w) tuples, lexicographic order."""
-    out = []
-    adj = g.adj
-    for u in range(g.n):
-        above_u = adj[u] >> (u + 1) << (u + 1)
-        for v in _bits(above_u):
-            common = adj[u] & adj[v]
-            for w in _bits(common >> (v + 1) << (v + 1)):
-                out.append((u, v, w))
-    return out
+def degeneracy_order(g):
+    """A smallest-last vertex order (Matula & Beck 1983): each vertex has
+    the fewest neighbours among the vertices not yet placed, so
+    `later_degree(g, order)` is the degeneracy of `g`.
 
-
-def find_gem(g):
-    """A gem in `g` as (a, b, c, d, v), or None: the path a-b-c-d plus v
-    adjacent to all four, as a subgraph, not necessarily induced.
-
-    A gem on v is a four-vertex path inside N(v), so each edge bc inside
-    N(v) is tried as the path's middle edge, a taken from N(b) and d from
-    N(c) within N(v).
+    The unplaced vertices wait in bucket masks by their degree among the
+    unplaced; placing a vertex moves each unplaced neighbour down one
+    bucket, so the order takes O(n + m) bucket moves.
     """
     adj = g.adj
-    for v in range(g.n):
-        around = adj[v]
-        for b in _bits(around):
-            for c in _bits(adj[b] & around):
-                for a in _bits(adj[b] & around & ~(1 << c)):
-                    ends = adj[c] & around & ~(1 << b | 1 << a)
-                    if ends:
-                        return (a, b, c, next(_bits(ends)), v)
-    return None
+    degree = [mask.bit_count() for mask in adj]
+    buckets = [0] * (max(degree, default=0) + 1)
+    for v, d in enumerate(degree):
+        buckets[d] |= 1 << v
+    unplaced = (1 << g.n) - 1
+    low = 0
+    order = []
+    for _ in range(g.n):
+        while not buckets[low]:
+            low += 1
+        bit = buckets[low] & -buckets[low]
+        buckets[low] ^= bit
+        unplaced ^= bit
+        v = bit.bit_length() - 1
+        order.append(v)
+        for u in _bits(adj[v] & unplaced):
+            buckets[degree[u]] ^= 1 << u
+            degree[u] -= 1
+            buckets[degree[u]] |= 1 << u
+        low = max(low - 1, 0)
+    return order
 
 
-def find_induced_path(g, k):
-    """Vertices of an induced path on k vertices, or None.
+def later_degree(g, order):
+    """The most neighbours any vertex of `g` has after it in `order`.
 
-    Depth-first over paths whose extensions must avoid every earlier path
-    vertex's neighbourhood, so candidate sets are neighbourhood
-    intersections and stay small even in dense graphs.
+    Whatever produced `order`, every subgraph of `g` then has a vertex of
+    at most that degree: its first vertex in the order.  Raises ValueError
+    unless `order` is a permutation of the vertices.
     """
-    if k <= 0:
-        return None
-    if k == 1:
-        return (0,) if g.n else None
-    adj = g.adj
-
-    def extend(path, tail_mask, forbid):
-        if len(path) == k:
-            return path
-        tail = path[-1]
-        cand = adj[tail] & ~forbid & ~tail_mask
-        for v in _bits(cand):
-            found = extend(path + (v,), tail_mask | (1 << v),
-                           forbid | adj[tail])
-            if found:
-                return found
-        return None
-
-    # Both traversal directions of a path start at an endpoint, so every
-    # ordered first edge must be tried; no orientation symmetry to break.
-    for a in range(g.n):
-        for b in _bits(adj[a]):
-            found = extend((a, b), (1 << a) | (1 << b), adj[a])
-            if found:
-                return found
-    return None
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order is not a permutation of the %d vertices"
+                         % g.n)
+    most = later = 0
+    for v in reversed(order):
+        most = max(most, (g.adj[v] & later).bit_count())
+        later |= 1 << v
+    return most
 
 
 def path_graph(k):
@@ -209,111 +191,6 @@ def _all_five_cycles(g):
                     for e in _bits(closing):
                         if e > b and e not in (b, c, d):
                             yield a, b, c, d, e
-
-
-class CheckResult(namedtuple("CheckResult", "ok witness detail",
-                             defaults=(None, ""))):
-    __slots__ = ()
-
-
-class StructuralReport(namedtuple(
-        "StructuralReport", "forced_triangle_free optional_component_shapes"
-        " triangle_sharing no_gem_subgraph")):
-    """The four structural guarantees the construction's proof leans on."""
-
-    __slots__ = ()
-
-    def all_ok(self):
-        return all(result.ok for result in self)
-
-
-def structural_report(inst):
-    """Check the four structural invariants of a built instance.
-
-    1. the forced graph is triangle-free;
-    2. optional edges form a forest whose components are single vertices,
-       single edges, or three-edge paths;
-    3. every triangle of the allowed graph has exactly one optional edge, and
-       shares exactly one edge with exactly one other triangle: a forced edge
-       lying in exactly two triangles;
-    4. the allowed graph has no gem subgraph (P4 plus a dominating vertex),
-       not even a non-induced one.
-
-    Check 4 is what bounds antiholes: a gem-free graph contains no complement
-    of P6, hence no antihole of length 7 or more, and neither does any of its
-    subgraphs -- in particular any sandwich graph.
-    """
-    g1 = inst.g1()
-    g2 = inst.g2()
-
-    tri_forced = triangles(g1)
-    check1 = CheckResult(not tri_forced, tri_forced[0] if tri_forced else None,
-                         "forced graph triangle" if tri_forced else "")
-
-    check2 = _optional_shapes(inst)
-
-    check3 = _triangle_sharing(inst, g2)
-
-    gem = find_gem(g2)
-    check4 = CheckResult(gem is None, gem,
-                         "gem subgraph in allowed graph" if gem else "")
-
-    return StructuralReport(check1, check2, check3, check4)
-
-
-def _optional_shapes(inst):
-    adjacency = {}
-    for u, v in inst.optional:
-        adjacency.setdefault(u, []).append(v)
-        adjacency.setdefault(v, []).append(u)
-    seen = set()
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        idx = 0
-        while idx < len(component):
-            for nxt in adjacency[component[idx]]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    component.append(nxt)
-            idx += 1
-        degrees = sorted(len(adjacency[v]) for v in component)
-        edge_total = sum(degrees) // 2
-        shape_ok = (
-            (len(component) == 2 and edge_total == 1)
-            or (len(component) == 4 and edge_total == 3 and degrees == [1, 1, 2, 2])
-        )
-        if not shape_ok:
-            return CheckResult(False, tuple(sorted(component)),
-                               "optional component is neither an edge nor a "
-                               "three-edge path")
-    return CheckResult(True)
-
-
-def _triangle_sharing(inst, g2):
-    tris = triangles(g2)
-    by_edge = {}
-    for tri in tris:
-        for e in combinations(tri, 2):
-            by_edge.setdefault(e, []).append(tri)
-    for tri in tris:
-        tri_edges = tuple(combinations(tri, 2))
-        optional_count = sum(1 for e in tri_edges if e in inst.optional)
-        if optional_count != 1:
-            return CheckResult(False, tri,
-                               "triangle has %d optional edges" % optional_count)
-        shared = [e for e in tri_edges if len(by_edge[e]) > 1]
-        if len(shared) != 1:
-            return CheckResult(False, tri,
-                               "triangle shares %d of its edges" % len(shared))
-        e = shared[0]
-        if e not in inst.forced or len(by_edge[e]) != 2:
-            return CheckResult(False, tri,
-                               "shared edge is not a forced edge in exactly "
-                               "two triangles")
-    return CheckResult(True)
 
 
 # -- local oracle -----------------------------------------------------------
@@ -461,23 +338,25 @@ def solver_matches_brute_force(seed=DEFAULT_SEED):
 
 
 def odd_instance_invariants(seed=DEFAULT_SEED):
-    """structural_report passes on random formulas' five-cycle instances."""
+    """The allowed graph of random formulas' five-cycle instances has
+    degeneracy at most 2, so no sandwich graph of them holds an antihole
+    longer than five."""
     rng = random.Random(seed)
     failures = []
     for _ in range(100):
         formula = _random_formula(rng, 6, 6)
         inst, _ = build_c5_instance(formula)
-        report = structural_report(inst)
-        if not report.all_ok():
+        g2 = inst.g2()
+        if later_degree(g2, degeneracy_order(g2)) > 2:
             failures.append(repr(formula.clauses))
-    return ("100 formulas, %d with failing reports, seed=%d"
+    return ("100 formulas, %d with allowed-graph degeneracy above 2, seed=%d"
             % (len(failures), seed), failures)
 
 
 def odd_single_clause_end_to_end(seed=DEFAULT_SEED):
     """Every single-clause formula solves SAT via the five-cycle instance,
     extraction satisfies the clause, and the realized graph is
-    odd-antihole-free with no induced complement-of-P6."""
+    odd-antihole-free."""
     failures = []
     for signs in product((1, -1), repeat=3):
         clause = tuple(s * v for s, v in zip(signs, (1, 2, 3)))
@@ -494,8 +373,6 @@ def odd_single_clause_end_to_end(seed=DEFAULT_SEED):
         ok_anti, _ = check(g, "odd-antihole-free")
         if not ok_anti:
             failures.append("%s: realized graph has an odd antihole" % (clause,))
-        if find_induced_path(g.complement(), 6) is not None:
-            failures.append("%s: complement has an induced P6" % (clause,))
     return "8 polarity patterns, %d failures" % len(failures), failures
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-import numpy as np
-
 
 def edge_set(edges):
     """Normalize an edge iterable to a set of (min, max) tuples."""
@@ -149,10 +147,10 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
       one diagonal absent and the other undecided derives the other in;
       three present sides, one undecided side and both diagonals absent
       derives that side out;
-    * every present knee-shoulder pair (k, s), knees and shoulders in
-      ascending order: with head-k and foot-s both absent the six-hole
-      (head, w1, w2, foot, k, s) is a contradiction; with one absent and
-      the other undecided the other is derived in.
+    * every present knee-shoulder pair (k, s) with head-s present, knees
+      and shoulders in ascending order: with head-k and foot-s both absent
+      the six-hole (head, w1, w2, foot, k, s) is a contradiction; with one
+      absent and the other undecided the other is derived in.
 
     A pair derived both ways in one round is derived in.  A round with a
     contradiction ends the closure, reporting the smallest contradiction by
@@ -199,8 +197,8 @@ def propagation_oracle(n, forced, optional, decided, head, foot, w1, w2,
         for k in sorted(knees):
             for s in sorted(shoulders):
                 hk, fs = key(head, k), key(foot, s)
-                if (key(k, s) not in present or hk in present
-                        or fs in present):
+                if (key(k, s) not in present or key(head, s) not in present
+                        or hk in present or fs in present):
                     continue
                 if hk in absent and fs in absent:
                     found.append((head, w1, w2, foot, k, s))
@@ -235,12 +233,17 @@ def peo_oracle(n, edges, order):
     return True
 
 
-def triangle_count_trace(n, edges):
-    """Triangle count as trace(A^3)/6, an algebraically independent route."""
-    a = np.zeros((n, n), dtype=np.int64)
-    for u, v in edge_set(edges):
-        a[u][v] = a[v][u] = 1
-    return int(np.trace(np.linalg.matrix_power(a, 3)) // 6) if n else 0
+def degeneracy_oracle(n, edges):
+    """The largest minimum degree of an induced subgraph on a non-empty
+    vertex subset, by scanning every subset (0 when n is 0)."""
+    present = edge_set(edges)
+    best = 0
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            least = min(sum((min(u, v), max(u, v)) in present for u in subset)
+                        for v in subset)
+            best = max(best, least)
+    return best
 
 
 def are_isomorphic(n, edges_a, edges_b):
@@ -255,24 +258,6 @@ def are_isomorphic(n, edges_a, edges_b):
         if mapped == eb:
             return True
     return False
-
-
-GEM_EDGES = ((0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2), (4, 3))
-
-
-def is_gem(edges, image):
-    """True when `image` = (a, b, c, d, v) is five distinct vertices with the
-    gem's seven edges: the path a-b-c-d and v joined to all four."""
-    present = edge_set(edges)
-    return len(set(image)) == 5 and all(
-        (min(image[i], image[j]), max(image[i], image[j])) in present
-        for i, j in GEM_EDGES)
-
-
-def has_gem(n, edges):
-    """Gem subgraph, not necessarily induced, by scanning every 5-tuple."""
-    present = edge_set(edges)
-    return any(is_gem(present, image) for image in permutations(range(n), 5))
 
 
 def petersen_edges():

@@ -422,7 +422,7 @@ def test_cli_import_footprint():
     # and argparse are imported by the code paths that need them.  Without
     # bytecode files each module is compiled from source, so the
     # verification layer lives in verify, off the start-up path.
-    verify_only = ("structural_report", "brute_force_solve", "find_gem",
+    verify_only = ("degeneracy_order", "brute_force_solve", "later_degree",
                    "chordless_cycles", "path_graph", "cycle_graph",
                    "complete_graph")
     loaded = fresh_imports("holesandwich.cli", then=(

@@ -1,7 +1,7 @@
 """Graph primitives against the brute-force oracle and frozen examples."""
 
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +12,12 @@ from holesandwich.graph import (Graph, canonical_rotation, is_bipartite,
                                is_hole, iter_chordless_cycles)
 from holesandwich.sandwich import normalized_edge
 from holesandwich.verify import (chordless_cycles, complete_graph,
-                                 cycle_graph, find_gem, find_induced_path,
-                                 path_graph, triangles)
+                                 cycle_graph, degeneracy_order, later_degree,
+                                 path_graph)
 
-from oracles import (GEM_EDGES, chordless_cycles_oracle, complement_edges,
-                     edge_set, has_gem, is_gem, is_induced_cycle,
-                     is_two_colourable, petersen_edges, triangle_count_trace)
+from oracles import (chordless_cycles_oracle, complement_edges,
+                     degeneracy_oracle, edge_set, is_induced_cycle,
+                     is_two_colourable, petersen_edges)
 
 
 def small_graphs(max_n=7):
@@ -178,77 +178,18 @@ def test_is_bipartite_sees_an_odd_cycle_in_any_component():
     assert not is_bipartite(Graph(10, petersen_edges()))
 
 
-# -- triangles and subgraphs --------------------------------------------------
+# -- degeneracy ---------------------------------------------------------------
 
 @given(small_graphs())
-def test_triangle_count_matches_trace_oracle(g):
-    assert len(triangles(g)) == triangle_count_trace(g.n, g.edges())
+def test_degeneracy_order_matches_oracle(g):
+    order = degeneracy_order(g)
+    assert later_degree(g, order) == degeneracy_oracle(g.n, g.edges())
 
 
-def test_triangles_are_sorted_cliques():
-    g = complete_graph(4)
-    assert triangles(g) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-
-
-def test_find_gem_is_not_induced_containment():
-    # K5 has no induced gem, but a gem plus three chords; the wheel on a
-    # four-cycle has one through the cycle's non-induced P4.
-    k5 = complete_graph(5)
-    assert is_gem(k5.edges(), find_gem(k5))
-    wheel = Graph(5, list(cycle_graph(4).edges()) + [(v, 4) for v in range(4)])
-    assert is_gem(wheel.edges(), find_gem(wheel))
-    assert find_gem(complete_graph(4)) is None
-    assert find_gem(Graph(10, petersen_edges())) is None
-
-
-def test_find_gem_returns_a_gem():
-    # Vertex i of the returned tuple plays the gem's vertex i: the path
-    # 0-1-2-3 and the hub 4.
-    assert find_gem(Graph(5, GEM_EDGES)) == (0, 1, 2, 3, 4)
-    relabel = (3, 0, 4, 2, 1)
-    moved = Graph(5, [(relabel[u], relabel[v]) for u, v in GEM_EDGES])
-    assert is_gem(moved.edges(), find_gem(moved))
-
-
-@given(small_graphs())
-@settings(max_examples=80)
-def test_find_gem_matches_oracle(g):
-    gem = find_gem(g)
-    assert (gem is not None) == has_gem(g.n, g.edges())
-    assert gem is None or is_gem(g.edges(), gem)
-
-
-# -- induced paths -------------------------------------------------------------
-
-def _induced_path_oracle(g, k):
-    if k == 1:
-        return g.n > 0
-    for perm in permutations(range(g.n), k):
-        ok = True
-        for i, j in combinations(range(k), 2):
-            adjacent = g.has_edge(perm[i], perm[j])
-            if adjacent != (abs(i - j) == 1):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def test_petersen_has_no_induced_six_vertex_path():
-    g = Graph(10, petersen_edges())
-    assert find_induced_path(g, 5) is not None
-    assert find_induced_path(g, 6) is None
-
-
-def test_induced_path_result_is_an_induced_path():
-    g = Graph(10, petersen_edges())
-    path = find_induced_path(g, 5)
-    for i, j in combinations(range(5), 2):
-        assert g.has_edge(path[i], path[j]) == (abs(i - j) == 1)
-
-
-@given(small_graphs(max_n=6), st.integers(min_value=1, max_value=5))
-@settings(max_examples=60)
-def test_find_induced_path_matches_oracle(g, k):
-    assert (find_induced_path(g, k) is not None) == _induced_path_oracle(g, k)
+def test_later_degree_checks_any_permutation():
+    petersen = Graph(10, petersen_edges())
+    assert later_degree(petersen, range(10)) == 3
+    assert later_degree(petersen, degeneracy_order(petersen)) == 3
+    for order in ([], list(range(9)), [0] + list(range(9)), list(range(1, 11))):
+        with pytest.raises(ValueError, match="not a permutation"):
+            later_degree(petersen, order)

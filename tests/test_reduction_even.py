@@ -26,6 +26,7 @@ from oracles import propagation_oracle
 XYZ = CnfFormula(3, ((1, 2, 3),))
 MIXED = CnfFormula(3, ((1, -2, 3),))
 TWO_CLAUSES = CnfFormula(4, ((4, -1, 3), (1, -3, -2)))
+UNUSED_X4 = CnfFormula(4, ((1, 2, 3),))
 
 
 def build(formula=XYZ):
@@ -248,6 +249,18 @@ def test_propagation_rejects_decisions_on_non_optional_pairs():
         == propagate_orientations(inst, gmap, {})
 
 
+def test_six_hole_rule_needs_the_head_shoulder_edge():
+    # x4 occurs in no clause, so H-S_x4 is optional: with it undecided or
+    # out, the knee-shoulder edge S_x4-K_x1.c1 closes no six-hole.
+    inst, gmap = build_even_instance(UNUSED_X4)
+    s, k = gmap.shoulder[4], gmap.knee[(1, 1)]
+    decided = {normalized_edge(s, k): True, normalized_edge(HEAD, k): False,
+               normalized_edge(FOOT, s): False}
+    assert propagate_orientations(inst, gmap, decided).certificate is None
+    decided[normalized_edge(HEAD, s)] = False
+    assert propagate_orientations(inst, gmap, decided).certificate is None
+
+
 def test_all_negative_orientations_contradict():
     inst, gmap = build()
     decided = {}
@@ -274,7 +287,8 @@ def test_all_negative_orientations_contradict():
     assert is_hole(host, result.certificate)
 
 
-@pytest.mark.parametrize("formula, trials", [(XYZ, 12), (TWO_CLAUSES, 4)])
+@pytest.mark.parametrize("formula, trials",
+                         [(XYZ, 12), (TWO_CLAUSES, 4), (UNUSED_X4, 12)])
 def test_propagation_matches_reference(formula, trials):
     inst, gmap = build_even_instance(formula)
     optional = sorted(inst.optional)

@@ -1,9 +1,10 @@
 """The five-cycle construction: structure, census, completions, extraction."""
 
+import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holesandwich import sandwich
@@ -14,14 +15,27 @@ from holesandwich.reduction_odd import (GadgetError, build_c5_instance,
                                         completion_from_assignment,
                                         extract_assignment)
 from holesandwich.sandwich import complement_instance, solve
-from holesandwich.verify import (five_cycle_census, is_sandwich_graph,
-                                 structural_report)
+from holesandwich.verify import (degeneracy_order, five_cycle_census,
+                                 is_sandwich_graph, later_degree)
 
 from oracles import property_oracle
 
 XYZ = CnfFormula(3, ((1, -2, 3),))
 
 TWO_CLAUSE = CnfFormula(4, ((1, 2, 3), (-2, -3, 4)))
+
+
+def planted_formula(seed, num_vars, num_clauses):
+    """A seeded 3-CNF whose clauses a random planted assignment satisfies."""
+    rng = random.Random(seed)
+    planted = [None] + [rng.random() < 0.5 for _ in range(num_vars)]
+    clauses = []
+    while len(clauses) < num_clauses:
+        clause = tuple(v if rng.random() < 0.5 else -v
+                       for v in rng.sample(range(1, num_vars + 1), 3))
+        if any(planted[abs(lit)] == (lit > 0) for lit in clause):
+            clauses.append(clause)
+    return CnfFormula(num_vars, tuple(clauses))
 
 
 def small_formulas():
@@ -101,25 +115,21 @@ def test_census_never_finds_rogue_cycles(formula):
 
 
 @given(small_formulas())
+@example(planted_formula(40, 40, 160))
 @settings(max_examples=15, deadline=None)
-def test_structural_report_clean(formula):
-    inst, _ = build_c5_instance(formula)
-    report = structural_report(inst)
-    assert report.forced_triangle_free.ok, report.forced_triangle_free
-    assert report.optional_component_shapes.ok
-    assert report.triangle_sharing.ok
-    assert report.no_gem_subgraph.ok
-    assert report.all_ok()
+def test_allowed_graph_has_degeneracy_two(formula):
+    g2 = build_c5_instance(formula)[0].g2()
+    assert later_degree(g2, degeneracy_order(g2)) == 2
 
 
-def test_structural_report_flags_planted_damage():
+def test_k4_closing_pair_raises_degeneracy_to_three():
     inst, _ = build_c5_instance(XYZ)
-    # Force a triangle: promote two optional chords of one variable cycle.
-    bad = inst.forced | {(0, 2), (1, 3)}
-    damaged = type(inst)(inst.n, bad, inst.optional - {(0, 2), (1, 3)},
+    # x1.0-x1.3 carry the forced path 0-1-2-3 and the optional chords
+    # (0, 2) and (1, 3), so the pair (0, 3) closes a K4 in the allowed graph.
+    damaged = type(inst)(inst.n, inst.forced, inst.optional | {(0, 3)},
                          inst.names)
-    report = structural_report(damaged)
-    assert not report.all_ok()
+    g2 = damaged.g2()
+    assert later_degree(g2, degeneracy_order(g2)) == 3
 
 
 # -- completions and extraction -------------------------------------------------
