@@ -13,6 +13,7 @@ they can be shared freely across threads.
 from itertools import combinations
 
 from .budget import Budget
+from .cnf import _is_int
 
 
 def _bits(mask):
@@ -29,12 +30,13 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if not _is_int(n) or n < 0:
+            raise ValueError("vertex count %r is not a non-negative int" % (n,))
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%r, %r) out of range" % (u, v))
+            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+                raise ValueError("edge (%r, %r) is not a pair of vertices"
+                                 % (u, v))
             if u == v:
                 raise ValueError("loop edge at vertex %r" % u)
             adj[u] |= 1 << v
@@ -125,9 +127,12 @@ def canonical_rotation(vertices):
                 for i in range(len(vs))), default=vs)
 
 
-def iter_chordless_cycles(g, budget=None, length=None):
-    """Yield every chordless cycle of length >= 4, or of exactly `length`
-    when it is given, exactly once, as its `canonical_rotation` tuple.
+def iter_chordless_cycles(g, budget=None, shape=None):
+    """Yield every chordless cycle of length >= 4 of a `shape`, exactly
+    once, as its `canonical_rotation` tuple.
+
+    `shape` is a `recognition.FORBIDDEN` shape: None (any length), "odd",
+    "even", or an int k >= 4 (exactly k); anything else raises ValueError.
 
     Search strategy: grow chordless paths anchored at their smallest vertex.
     A path [a, b, ..., t] keeps every vertex above the anchor a, allows no
@@ -135,14 +140,24 @@ def iter_chordless_cycles(g, budget=None, length=None):
     and vertices adjacent to the anchor may only close the cycle, never extend
     the path.  Requiring the closing vertex to exceed the second vertex fixes
     the traversal direction, so each cycle appears once, in canonical order.
+    A path of j vertices closes into cycles of length j + 1, so it skips its
+    closing scan when j + 1 has the wrong parity; the paths grown, and so
+    the order of the cycles, do not depend on the shape, except that an int
+    shape prunes paths that could only close into longer cycles.
 
     `budget` is a Budget counting path expansions; exhaustion raises
-    BudgetExhausted.  A given `length` also prunes paths that could only
-    close into longer cycles (used for targeted C5 searches).
+    BudgetExhausted.
     """
+    if shape in (None, "odd", "even"):
+        longest, parity = None, {"odd": 1, "even": 0}.get(shape)
+    elif _is_int(shape) and shape >= 4:
+        longest, parity = shape, shape % 2
+    else:
+        raise ValueError("cycle shape %r is not None, 'odd', 'even' or an "
+                         "int >= 4" % (shape,))
     if budget is None:
         budget = Budget(None)
-    shortest = length or 4
+    shortest = longest or 4
     adj = g.adj
     for a in range(g.n):
         low = (1 << (a + 1)) - 1
@@ -155,11 +170,12 @@ def iter_chordless_cycles(g, budget=None, length=None):
                 path, block = stack.pop()
                 budget.spend()
                 tail = path[-1]
-                closing = adj[tail] & adj[a] & ~block
-                for y in _bits(closing):
-                    if y > path[1] and len(path) + 1 >= shortest:
-                        yield path + (y,)
-                if length is not None and len(path) + 1 >= length:
+                if parity is None or (len(path) + 1) % 2 == parity:
+                    closing = adj[tail] & adj[a] & ~block
+                    for y in _bits(closing):
+                        if y > path[1] and len(path) + 1 >= shortest:
+                            yield path + (y,)
+                if longest is not None and len(path) + 1 >= longest:
                     continue
                 extending = adj[tail] & ~block & ~adj[a]
                 # Reversed push order so the smallest candidate pops first.

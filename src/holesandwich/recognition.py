@@ -18,8 +18,9 @@ from .cnf import _is_int
 from .graph import _bits, is_bipartite, is_hole, iter_chordless_cycles
 
 # What each property forbids, in search order: a chordless cycle of length
-# >= 4 of the graph ("hole") or of its complement ("antihole"), of any
-# length (None), of one parity ("odd", "even") or of length exactly 5.
+# >= 4 of the graph ("hole") or of its complement ("antihole"), of a shape
+# `iter_chordless_cycles` takes: any length (None), one parity ("odd",
+# "even") or length exactly 5.
 FORBIDDEN = {
     "chordal": (("hole", None),),
     "c5-free": (("hole", 5),),
@@ -51,15 +52,16 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     """Decide `prop` for `g`; returns (verdict, certificate_or_None).
 
     A negative verdict carries the first structure found: the property's
-    `FORBIDDEN` entries are searched in order, holes in canonical
-    enumeration order.  Before an entry's five-subset scan or path
-    search, a 2-colourable host, which has no odd cycle, rules out an odd
-    shape (odd, or length 5), and a chordal host, which has no hole, rules
-    out every entry; neither spends budget.  Chordality is one pass of
-    maximum cardinality search, and the perfect elimination order it
-    returns is the certificate of a chordal graph.  The certificate's
-    vertex set lives in `g`, and every way to destroy the structure adds
-    a non-edge in it.
+    `FORBIDDEN` entries are searched in order, each by a path search that
+    closes only cycles of the entry's shape, and the first of them in
+    canonical enumeration order is the certificate.  Before an entry's
+    five-subset scan or path search, a 2-colourable host, which has no odd
+    cycle, rules out an odd shape (odd, or length 5), and a chordal host,
+    which has no hole, rules out every entry; neither spends budget.
+    Chordality is one pass of maximum cardinality search, and the perfect
+    elimination order it returns is the certificate of a chordal graph.
+    The certificate's vertex set lives in `g`, and every way to destroy the
+    structure adds a non-edge in it.
 
     `budget` caps the steps of all searches of one call together; None
     means unlimited.  Exhaustion raises BudgetExhausted and the verdict
@@ -80,7 +82,7 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
         if (shape == 5 and g.n <= C5_SCAN_MAX_VERTICES
                 and not _scan_c5(host, tracker)):
             continue
-        found = _first_cycle(host, tracker, shape)
+        found = next(iter_chordless_cycles(host, tracker, shape), None)
         if found is not None:
             return False, Certificate(kind, found)
     return True, None
@@ -171,15 +173,6 @@ def _verify_peo(g, order):
                 return False
         later |= 1 << v
     return True
-
-
-def _first_cycle(g, budget, shape):
-    """The first chordless cycle of `g` of a FORBIDDEN entry's shape, or
-    None; a length-5 search grows no longer paths."""
-    for cyc in iter_chordless_cycles(g, budget, 5 if shape == 5 else None):
-        if _fits(len(cyc), shape):
-            return cyc
-    return None
 
 
 def _scan_c5(g, budget):

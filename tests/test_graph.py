@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holesandwich.budget import BudgetExhausted
+from holesandwich.budget import Budget, BudgetExhausted
 from holesandwich.graph import (Graph, canonical_rotation, is_bipartite,
                                is_hole, iter_chordless_cycles)
 from holesandwich.sandwich import normalized_edge
@@ -40,6 +40,10 @@ def test_rejects_loops_and_out_of_range():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="non-negative"):
         Graph(-1)
+    # bool is an int subclass, and a float is no vertex.
+    for n, edges in ((3, [(True, 2)]), (True, []), (2.0, []), (3, [(0, 1.0)])):
+        with pytest.raises(ValueError):
+            Graph(n, edges)
     with pytest.raises(ValueError, match="subset out of range"):
         Graph(3).induced([0, 3])
     with pytest.raises(ValueError, match="loop edge at vertex 2"):
@@ -147,16 +151,50 @@ def test_chordless_cycles_match_oracle(g):
         assert is_induced_cycle(g.edges(), c)
 
 
+# Each shape `iter_chordless_cycles` takes, as a test on the cycle length.
+SHAPES = {None: lambda k: True, "odd": lambda k: k % 2 == 1,
+          "even": lambda k: k % 2 == 0, 4: (4).__eq__, 5: (5).__eq__,
+          6: (6).__eq__}
+
+
 @given(small_graphs(max_n=8))
 @settings(max_examples=60)
 def test_enumerated_cycles_are_already_canonical(g):
     """The enumerator yields its closed paths as they are; callers compare
     them as values, which is sound only because every path it closes is in
     canonical order."""
-    for length in (None, 5):
-        for cyc in iter_chordless_cycles(g, length=length):
+    for shape in SHAPES:
+        for cyc in iter_chordless_cycles(g, shape=shape):
             assert type(cyc) is tuple and cyc == canonical_rotation(cyc)
             assert canonical_rotation(reversed(cyc[1:] + cyc[:1])) == cyc
+
+
+@given(small_graphs(max_n=8))
+@settings(max_examples=60)
+def test_shaped_enumeration_filters_the_unshaped_one(g):
+    """A shape only filters: it yields the unshaped enumeration's cycles
+    of that shape, in the same order.  A parity spends the unshaped
+    search's expansions; a length also stops growing paths that cannot
+    close into it, so spends no more."""
+    every = Budget(None)
+    cycles = list(iter_chordless_cycles(g, every))
+    for shape, fits in SHAPES.items():
+        spent = Budget(None)
+        got = list(iter_chordless_cycles(g, spent, shape))
+        assert got == [c for c in cycles if fits(len(c))]
+        if isinstance(shape, int):
+            assert spent.spent <= every.spent
+        else:
+            assert spent.spent == every.spent
+
+
+def test_enumeration_refuses_unknown_shapes():
+    chorded = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
+    assert list(iter_chordless_cycles(chorded)) == []
+    # A triangle is no hole, so 3 is no length the enumerator serves.
+    for shape in (3, 0, -5, "triangle", "Odd", True, 5.0, (5,)):
+        with pytest.raises(ValueError, match="shape"):
+            list(iter_chordless_cycles(chorded, shape=shape))
 
 
 def test_chordless_cycles_budget_raises():
