@@ -5,19 +5,22 @@ counts its steps against a budget so callers get an honest "ran out" signal
 instead of an open-ended hang.
 """
 
+from .cnf import _is_int
+
 
 class BudgetExhausted(Exception):
     """Raised when a search exceeds its step budget."""
 
 
 class Budget:
-    """A decrementing step counter.  `limit=None` means unlimited."""
+    """A decrementing step counter: `limit` is an int >= 0, None unlimited."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit=None):
-        if limit is not None and limit < 0:
-            raise ValueError("budget limit must be non-negative")
+        if limit is not None and not (_is_int(limit) and limit >= 0):
+            raise ValueError("budget limit %r is not a non-negative int"
+                             % (limit,))
         self.limit = limit
         self.spent = 0
 

@@ -6,10 +6,11 @@ neighbourhood intersections and subset-degree tests reduce to mask
 arithmetic.  This keeps the exhaustive checks elsewhere in the package honest
 at desk scale without leaving pure Python.
 
-Graph values are immutable after construction (adjacency is a tuple of ints);
-they can be shared freely across threads.
+A graph is a named tuple `(n, adj)`, checked when `Graph(n, edges)` makes
+it: immutable, equal to the plain tuple, and shareable across threads.
 """
 
+from collections import namedtuple
 from itertools import combinations
 
 from .budget import Budget
@@ -24,16 +25,24 @@ def _bits(mask):
         mask ^= low
 
 
-class Graph:
-    """Undirected simple graph on vertices 0..n-1."""
+class Graph(namedtuple("Graph", "n adj")):
+    """Undirected simple graph on vertices 0..n-1: `adj[v]` masks v's
+    neighbours.  `Graph(n, edges)` checks its input; `Graph._make((n,
+    masks))` adopts prebuilt masks unchecked.  A copy or a pickle rebuilds
+    through the checks."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ()
 
-    def __init__(self, n, edges=()):
+    def __new__(cls, n, edges=()):
         if not _is_int(n) or n < 0:
             raise ValueError("vertex count %r is not a non-negative int" % (n,))
         adj = [0] * n
-        for u, v in edges:
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise ValueError("edge %r is not a pair of vertices"
+                                 % (e,)) from None
             if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%r, %r) is not a pair of vertices"
                                  % (u, v))
@@ -41,16 +50,14 @@ class Graph:
                 raise ValueError("loop edge at vertex %r" % u)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
-        self.adj = tuple(adj)
+        return super().__new__(cls, n, tuple(adj))
 
-    @classmethod
-    def _from_masks(cls, n, masks):
-        """Internal fast path: adopt prebuilt adjacency masks (not validated)."""
-        g = cls.__new__(cls)
-        g.n = n
-        g.adj = tuple(masks)
-        return g
+    def __getnewargs__(self):
+        return self.n, self.edges()
+
+    def _replace(self, **fields):
+        """Refused: new masks would skip the checks of `Graph(n, edges)`."""
+        raise TypeError("a Graph is built from edges: use Graph(n, edges)")
 
     # -- queries ----------------------------------------------------------
 
@@ -74,7 +81,7 @@ class Graph:
     def complement(self):
         full = (1 << self.n) - 1
         masks = [full & ~self.adj[v] & ~(1 << v) for v in range(self.n)]
-        return Graph._from_masks(self.n, masks)
+        return Graph._make((self.n, tuple(masks)))
 
     def induced(self, subset):
         """Induced subgraph, reindexed to 0..k-1 in sorted(subset) order."""
@@ -85,22 +92,6 @@ class Graph:
         edges = [(index[u], index[v]) for u, v in combinations(subset, 2)
                  if self.has_edge(u, v)]
         return Graph(len(subset), edges)
-
-    # -- value semantics ----------------------------------------------------
-
-    def __eq__(self, other):
-        """Structural equality: same vertex count and adjacency."""
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
-
-    def __repr__(self):
-        # The masks, not the edge list: a mask can hold a vertex's own bit
-        # (through _from_masks), which the edges do not show.
-        return "Graph(n=%d, adj=%r)" % (self.n, self.adj)
 
 
 def is_hole(g, vertices):

@@ -195,7 +195,7 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
         for u, v in chosen:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        g = Graph._from_masks(inst.n, adj)
+        g = Graph._make((inst.n, tuple(adj)))
         verdict, cert = check(g, prop, check_budget)
         if verdict:
             return Completion(frozenset(chosen))

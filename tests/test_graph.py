@@ -44,6 +44,9 @@ def test_rejects_loops_and_out_of_range():
     for n, edges in ((3, [(True, 2)]), (True, []), (2.0, []), (3, [(0, 1.0)])):
         with pytest.raises(ValueError):
             Graph(n, edges)
+    for edge in (5, None, (0,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="is not a pair of vertices"):
+            Graph(3, [edge])
     with pytest.raises(ValueError, match="subset out of range"):
         Graph(3).induced([0, 3])
     with pytest.raises(ValueError, match="loop edge at vertex 2"):
@@ -60,10 +63,10 @@ def test_accessors_on_square():
 
 
 def test_repr_shows_the_masks():
-    # A mask can hold a vertex's own bit (through _from_masks), which the
+    # A mask can hold a vertex's own bit (through _make), which the
     # edge list does not show; unequal graphs must not print alike.
     assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, adj=(2, 1, 0))"
-    looped = Graph._from_masks(1, [1])
+    looped = Graph._make((1, (1,)))
     assert looped != Graph(1) and repr(looped) != repr(Graph(1))
 
 

@@ -207,6 +207,16 @@ def test_budget_verdict():
     assert check(inst.realize(unlimited.completion.chosen), "chordal")[0]
 
 
+def test_budget_must_be_a_non_negative_int():
+    # True would be a one-step budget: a bool is no step count.
+    inst = SandwichInstance(4, SQUARE, {(0, 2)})
+    for budget in (True, 2.5, "3", -1):
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            check(inst.g1(), "chordal", budget=budget)
+        with pytest.raises(ValueError, match="is not a non-negative int"):
+            solve(inst, "chordal", budget=budget)
+
+
 def test_finite_budgets_cap_each_violation_search(monkeypatch):
     # A finite node budget caps each violation search at the solvers'
     # DEFAULT_CHECK_BUDGET binding; None leaves both unlimited.

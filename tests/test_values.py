@@ -1,8 +1,8 @@
 """Value semantics of the result and certificate records.
 
-Certificates, instances, solve results and formulas are immutable values:
-equal contents compare equal and hash equal, and no attribute can be
-assigned or deleted after construction.  A cycle is a plain tuple in
+Graphs, certificates, instances, solve results and formulas are immutable
+values: equal contents compare equal and hash equal, and no attribute can
+be assigned or deleted after construction.  A cycle is a plain tuple in
 canonical order, so it equals its rotations and reflections once each is
 put through `canonical_rotation`.
 """
@@ -13,7 +13,7 @@ import pickle
 import pytest
 
 from holesandwich.cnf import CnfError, CnfFormula
-from holesandwich.graph import canonical_rotation
+from holesandwich.graph import Graph, canonical_rotation
 from holesandwich.recognition import Certificate
 from holesandwich.sandwich import Completion, SandwichInstance, SolveResult
 
@@ -22,6 +22,8 @@ SQUARE = {(0, 1), (1, 2), (2, 3), (0, 3)}
 
 # (value, an equal value built separately, one of its field names)
 EQUAL_PAIRS = [
+    pytest.param(Graph(4, SQUARE), Graph(4, [(3, 2), (0, 3), (2, 1), (1, 0)]),
+                 "adj", id="Graph"),
     pytest.param(Certificate("hole", (0, 1, 2, 3)),
                  Certificate("hole", (0, 1, 2, 3)), "kind", id="Certificate"),
     pytest.param(SandwichInstance(4, SQUARE, {(0, 2)}, "abcd"),
@@ -77,6 +79,9 @@ def test_replace_goes_through_the_checks():
         CnfFormula(3, ((3, -2, 1),))
     with pytest.raises(CnfError, match="clause 1 has 2 literals"):
         formula._replace(clauses=((1, 2),))
+    # A graph's masks are not its checked input: no _replace at all.
+    with pytest.raises(TypeError, match=r"use Graph\(n, edges\)"):
+        Graph(3, [(0, 1)])._replace(adj=(1, 2, 4))
 
 
 def test_cycle_equals_its_rotations_and_reflections_only():
