@@ -17,7 +17,7 @@ from .io import (InstanceFormatError, dump_roles, format_completion,
                  format_dot, format_instance, load_roles, parse_completion,
                  parse_instance, roles_payload)
 from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
-from .reduction_even import (OrientationError, build_even_instance,
+from .reduction_even import (build_even_instance,
                              extract_assignment as extract_even,
                              solve_with_orientations)
 from .reduction_odd import (GadgetError, build_c5_instance,
@@ -98,7 +98,7 @@ def _rebuild_from_roles(payload):
     if payload["vertex_roles"] != expected:
         raise CliError("roles file's vertex_roles do not match the %s "
                        "instance of its formula" % kind)
-    return kind, formula, inst, gmap
+    return kind, inst, gmap
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -120,7 +120,7 @@ def _cmd_solve(args):
     if args.roles is None:
         result = solve(inst, args.property, budget=args.budget)
     else:
-        kind, formula, rebuilt, gmap = _rebuild_from_roles(
+        kind, rebuilt, gmap = _rebuild_from_roles(
             _parse(args.roles, load_roles))
         if kind != args.property:
             raise CliError("roles file is for %s, not %s"
@@ -130,7 +130,7 @@ def _cmd_solve(args):
             raise CliError("%s does not describe %s"
                            % (args.roles, args.instance))
         if kind == "even-hole-free":
-            result = solve_with_orientations(formula, rebuilt, gmap,
+            result = solve_with_orientations(gmap.formula, rebuilt, gmap,
                                              budget=args.budget)
         else:
             result = solve(inst, args.property, budget=args.budget)
@@ -177,17 +177,16 @@ def _cmd_complement(args):
 
 
 def _cmd_extract(args):
-    kind, formula, inst, gmap = _rebuild_from_roles(
-        _parse(args.roles, load_roles))
+    kind, inst, gmap = _rebuild_from_roles(_parse(args.roles, load_roles))
     g = inst.realize(_parse(args.completion, parse_completion, inst))
     try:
         assignment = REDUCTIONS[kind][1](gmap, g)
-    except (GadgetError, OrientationError) as exc:
+    except GadgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_FALSE
-    for var in range(1, formula.num_vars + 1):
+    for var in range(1, gmap.formula.num_vars + 1):
         print("x%d=%s" % (var, "true" if assignment[var] else "false"))
-    satisfied = formula.satisfied_by(assignment)
+    satisfied = gmap.formula.satisfied_by(assignment)
     print("satisfies formula: %s" % ("true" if satisfied else "false"))
     return EXIT_TRUE if satisfied else EXIT_FALSE
 

@@ -92,9 +92,10 @@ def verify_certificate(g, prop, verdict, cert):
     """Re-check a (verdict, certificate) pair against the graph it came from."""
     if prop not in FORBIDDEN:
         raise ValueError("unknown property id %r" % (prop,))
-    # Anything but an int would fail the comparisons below with TypeError
-    # instead of being rejected.
-    if cert is not None and not all(map(_is_int, cert.vertices)):
+    # Anything but a tuple or list of ints would fail the checks below with
+    # TypeError instead of being rejected.
+    if cert is not None and not (isinstance(cert.vertices, (tuple, list))
+                                 and all(map(_is_int, cert.vertices))):
         return False
     if verdict:
         if prop == "chordal":

@@ -25,6 +25,7 @@ from collections import namedtuple
 
 from .graph import canonical_rotation
 from .recognition import DEFAULT_CHECK_BUDGET, check
+from .reduction_odd import GadgetError
 from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
                        depth_first, normalized_edge)
 
@@ -34,31 +35,24 @@ IN, OUT, UND = 1, 0, 2
 HEAD, FOOT, W1, W2 = 0, 1, 2, 3
 
 
-class OrientationError(Exception):
-    """A sandwich graph whose orientations do not define an assignment."""
-
-
-class EvenGadgetMap:
-    """Vertex roles of a built instance.
+class EvenGadgetMap(namedtuple("EvenGadgetMap",
+                               "formula shoulder knee bundles instance")):
+    """Vertex roles of a built instance and the formula they translate.
 
     The fixed roles are the module constants HEAD, FOOT, W1 and W2, the
     vertices 0-3.  shoulder is keyed by signed variable (+i positive, -i
     negative), knee by (signed variable, clause index), with 1-based clause
     indices.  bundles maps each incidence (variable, clause), in
     construction order, to its (negative, positive) orientation bundles of
-    three optional edges each, so a truth value indexes it.  instance is a
-    back-reference to the built SandwichInstance.  build_even_instance
-    fills in all but the formula's fields.
+    three optional edges each, so a truth value indexes it.  instance is
+    the built SandwichInstance.
     """
 
-    def __init__(self, formula):
-        self.num_vars, self.clauses = formula.num_vars, formula.clauses
-        self.shoulder, self.knee, self.bundles = {}, {}, {}
-        self.instance = None
+    __slots__ = ()
 
     def clause_knees(self, clause):
         """(active, inactive) knee tuples of a clause, in literal order."""
-        lits = self.clauses[clause - 1]
+        lits = self.formula.clauses[clause - 1]
         active = tuple(self.knee[(lit, clause)] for lit in lits)
         inactive = tuple(self.knee[(-lit, clause)] for lit in lits)
         return active, inactive
@@ -70,7 +64,7 @@ def build_even_instance(formula):
     Returns (instance, gadget_map).  The instance has an even-hole-free
     sandwich graph exactly when the formula is satisfiable.
     """
-    gmap = EvenGadgetMap(formula)
+    gmap = EvenGadgetMap(formula, {}, {}, {}, None)
     names = ["H", "F", "W1", "W2"]
     forced = {(HEAD, W1), (W1, W2), (W2, FOOT)}
     forbidden = {(HEAD, FOOT)}
@@ -114,8 +108,7 @@ def build_even_instance(formula):
     optional = set(itertools.combinations(core, 2)) - forced - forbidden
 
     inst = SandwichInstance(n, forced, optional, names)
-    gmap.instance = inst
-    return inst, gmap
+    return inst, gmap._replace(instance=inst)
 
 
 def completion_from_assignment(gmap, assignment):
@@ -131,21 +124,22 @@ def completion_from_assignment(gmap, assignment):
     falsified clause leaves a four-hole on two of its active and two of its
     inactive knees.
     """
-    if set(assignment) != set(range(1, gmap.num_vars + 1)):
+    variables = range(1, gmap.formula.num_vars + 1)
+    if set(assignment) != set(variables):
         raise ValueError("assignment must cover variables 1..%d"
-                         % gmap.num_vars)
+                         % len(variables))
     edges = set()
     for (i, _), bundles in gmap.bundles.items():
         edges.update(bundles[assignment[i]])
     true_shoulders = [gmap.shoulder[i if assignment[i] else -i]
-                      for i in range(1, gmap.num_vars + 1)]
+                      for i in variables]
     true_knees = [gmap.knee[(i if assignment[i] else -i, j)]
                   for i, j in gmap.bundles]
     for clique in (true_shoulders, true_knees):
         edges.update(itertools.combinations(sorted(clique), 2))
     for s in true_shoulders:
         edges.update(normalized_edge(s, k) for k in gmap.knee.values())
-    unused = set(range(1, gmap.num_vars + 1)) - {i for i, _ in gmap.bundles}
+    unused = set(variables) - {i for i, _ in gmap.bundles}
     edges.update(normalized_edge(FOOT, true_shoulders[i - 1]) for i in unused)
     return frozenset(edges & gmap.instance.optional)
 
@@ -155,7 +149,7 @@ def extract_assignment(gmap, g):
 
     Each incidence reads as the pair (negative, positive) of whether that
     bundle of `gmap.bundles` is fully present.  All incidences of a
-    variable must carry the same one orientation.  Raises OrientationError
+    variable must carry the same one orientation.  Raises GadgetError
     for the lowest variable at fault: naming the variable when both
     orientations occur among its incidences, else naming its first
     incidence that carries neither.  Variables with no occurrences are read
@@ -170,17 +164,17 @@ def extract_assignment(gmap, g):
     for i in sorted(read):
         neg, pos = (any(pair[k] for pair in read[i].values()) for k in (0, 1))
         if neg and pos:
-            raise OrientationError("variable %d carries both orientations" % i)
+            raise GadgetError("variable %d carries both orientations" % i)
         for j, pair in read[i].items():
             if pair == (False, False):
-                raise OrientationError(
+                raise GadgetError(
                     "incidence (%d, clause %d) has no orientation" % (i, j))
         assignment[i] = pos
     if not assignment:
-        return dict.fromkeys(range(1, gmap.num_vars + 1), False)
+        return dict.fromkeys(range(1, gmap.formula.num_vars + 1), False)
     anchor = min(assignment)
     true_shoulder = gmap.shoulder[anchor if assignment[anchor] else -anchor]
-    for i in range(1, gmap.num_vars + 1):
+    for i in range(1, gmap.formula.num_vars + 1):
         if i not in assignment:
             assignment[i] = g.has_edge(gmap.shoulder[i], true_shoulder)
     return assignment
@@ -330,7 +324,10 @@ def solve_with_orientations(formula, inst, gmap, budget=DEFAULT_SOLVE_BUDGET):
     bundles; on any other instance the search may raise (docs/solver.md).
     `budget` caps nodes, and a finite one caps each leaf's recognition
     search at DEFAULT_CHECK_BUDGET steps; None leaves both unlimited.
+    Raises ValueError unless `formula == gmap.formula`.
     """
+    if formula != gmap.formula:
+        raise ValueError("formula %r is not gmap's" % (formula,))
     check_budget = None if budget is None else DEFAULT_CHECK_BUDGET
 
     def expand(state):

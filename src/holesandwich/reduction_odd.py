@@ -36,6 +36,8 @@ Gadgets:
   clause cycle survives as an induced C5.
 """
 
+from collections import namedtuple
+
 from .sandwich import SandwichInstance, complement_instance, normalized_edge
 
 
@@ -43,28 +45,26 @@ class GadgetError(Exception):
     """An assignment or a realized graph the gadgets cannot translate."""
 
 
-class OddGadgetMap:
-    """Vertex roles of a built instance, keyed the way the builder thinks.
+class OddGadgetMap(namedtuple("OddGadgetMap",
+                              "formula complemented true_chord false_chord "
+                              "clause_edges release_edge repeater_chords "
+                              "five_cycles")):
+    """Vertex roles of a built instance, keyed the way the builder thinks,
+    and the formula they translate.
 
-    five_cycles lists every gadget five-cycle once, in build order, as
-    (vertices in cycle order, breakers): with its breakers it is the
-    instance's entire constraint system, and verify.five_cycle_census checks
-    that no other five-cycle can become induced.  repeater_chords values are
-    (outward_chord, inward_chord): outward faces the clause, inward faces
-    the variable.  complemented is true only on the map of
+    true_chord and false_chord map a variable to an edge, clause_edges a
+    clause to its 3 optional edges, release_edge (clause, q) to an edge and
+    repeater_chords (clause, q, side) to (outward_chord, inward_chord):
+    outward faces the clause, inward faces the variable.  five_cycles lists
+    every gadget five-cycle once, in build order, as (vertices in cycle
+    order, breakers): with its breakers it is the instance's entire
+    constraint system, and verify.five_cycle_census checks that no other
+    five-cycle can become induced.  complemented is true only on the map of
     build_odd_hole_free_instance, whose instance is the complement of the
     C5 instance the roles were built in.
     """
 
-    def __init__(self, num_vars, clauses):
-        self.num_vars, self.clauses = num_vars, clauses
-        self.complemented = False
-        self.true_chord = {}       # var -> edge
-        self.false_chord = {}      # var -> edge
-        self.clause_edges = {}     # clause -> 3 optional edges
-        self.release_edge = {}     # (clause, q) -> edge
-        self.repeater_chords = {}  # (clause, q, side) -> (out, in)
-        self.five_cycles = []      # (5 vertices, breakers) per gadget
+    __slots__ = ()
 
 
 def build_c5_instance(formula):
@@ -77,7 +77,7 @@ def build_c5_instance(formula):
     names = []
     forced = set()
     optional = set()
-    gmap = OddGadgetMap(formula.num_vars, formula.clauses)
+    gmap = OddGadgetMap(formula, False, {}, {}, {}, {}, {}, [])
 
     def add_vertex(name):
         names.append(name)
@@ -145,8 +145,7 @@ def build_odd_hole_free_instance(formula):
     the returned map, marked complemented, translates.
     """
     inst, gmap = build_c5_instance(formula)
-    gmap.complemented = True
-    return complement_instance(inst), gmap
+    return complement_instance(inst), gmap._replace(complemented=True)
 
 
 def completion_from_assignment(gmap, assignment):
@@ -161,13 +160,13 @@ def completion_from_assignment(gmap, assignment):
     C5-free one.  Raises ValueError unless the assignment covers exactly
     variables 1..n, and GadgetError if it does not satisfy the formula.
     """
-    if set(assignment) != set(range(1, gmap.num_vars + 1)):
-        raise ValueError("assignment must cover variables 1..%d"
-                         % gmap.num_vars)
+    num_vars, clauses = gmap.formula
+    if set(assignment) != set(range(1, num_vars + 1)):
+        raise ValueError("assignment must cover variables 1..%d" % num_vars)
     chosen = set()
-    for i in range(1, gmap.num_vars + 1):
+    for i in range(1, num_vars + 1):
         chosen.add(gmap.true_chord[i] if assignment[i] else gmap.false_chord[i])
-    for j, clause in enumerate(gmap.clauses, start=1):
+    for j, clause in enumerate(clauses, start=1):
         satisfied = [q for q, lit in enumerate(clause, start=1)
                      if assignment[abs(lit)] == (lit > 0)]
         if not satisfied:
@@ -198,7 +197,7 @@ def extract_assignment(gmap, g):
     if gmap.complemented:
         g = g.complement()
     assignment = {}
-    for i in range(1, gmap.num_vars + 1):
+    for i in range(1, gmap.formula.num_vars + 1):
         t_in = g.has_edge(*gmap.true_chord[i])
         if not (t_in or g.has_edge(*gmap.false_chord[i])):
             raise GadgetError("variable %d five-cycle has no chord" % i)

@@ -207,6 +207,20 @@ def test_extract_flags_unsound_completion(workdir, capsys):
                workdir / "even.inst.roles.json")
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # x1 has no chord in the c5-free graph of the empty completion, nor in
+    # the complement of the odd-hole-free graph that takes both its chords.
+    (workdir / "chords.comp").write_text("completion\ne 0 2\ne 1 3\n")
+    for prop, comp in (("c5-free", "empty.comp"),
+                       ("odd-hole-free", "chords.comp")):
+        inst = workdir / (prop + ".inst")
+        run("reduce-odd", workdir / "xyz.cnf", "--property", prop,
+            "--out", inst)
+        capsys.readouterr()
+        code = run("extract", workdir / comp, "--roles",
+                   workdir / (prop + ".inst.roles.json"))
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: variable 1 five-cycle has no chord"]
 
 
 # -- usage errors ----------------------------------------------------------------

@@ -41,7 +41,9 @@ def test_complete_graphs_are_chordal_with_peo():
         assert verify_certificate(g, "chordal", ok, cert)
     # An order that is no permutation of the vertices, or names a vertex
     # that is not an int, is false, not an error.
-    for order in ((0, 1, 1), (0, 1), (0, 1, None), (0, 1, 2.0), (False, 1, 2)):
+    # So is an order that is no tuple or list.
+    for order in ((0, 1, 1), (0, 1), (0, 1, None), (0, 1, 2.0), (False, 1, 2),
+                  None, 3, {0, 1, 2}):
         assert not verify_certificate(complete_graph(3), "chordal", True,
                                       Certificate("peo", order))
 
@@ -213,6 +215,10 @@ def test_five_cycle_violates_both_self_complementary_properties():
     assert not verify_certificate(g, "c5-free", False,
                                   Certificate("hole", (False, 1, 2, 3, 4)))
     assert not verify_certificate(g, "c5-free", False, None)
+    # So is a vertex sequence that is no tuple or list.
+    for vertices in (5, None, {0, 1, 2, 3, 4}, iter((0, 1, 2, 3, 4))):
+        assert not verify_certificate(g, "c5-free", False,
+                                      Certificate("hole", vertices))
     # Five independent vertices are no hole.
     assert not verify_certificate(Graph(5), "c5-free", False,
                                   Certificate("hole", (0, 1, 2, 3, 4)))

@@ -12,7 +12,7 @@ from holesandwich.graph import canonical_rotation, is_hole
 from holesandwich.io import format_instance
 from holesandwich.recognition import check
 from holesandwich.reduction_even import (FOOT, HEAD, W1, W2,
-                                         OrientationError,
+                                         GadgetError,
                                          build_even_instance,
                                          completion_from_assignment,
                                          extract_assignment,
@@ -172,11 +172,11 @@ def test_extraction_rejects_mixed_and_missing_orientations():
     assignment = {1: True, 2: False, 3: True}
     chosen = completion_from_assignment(gmap, assignment)
     both = chosen | set(gmap.bundles[(1, 1)][False])
-    with pytest.raises(OrientationError,
+    with pytest.raises(GadgetError,
                        match="^variable 1 carries both orientations$"):
         extract_assignment(gmap, inst.realize(both))
     short = chosen - {normalized_edge(HEAD, gmap.knee[(1, 1)])}
-    with pytest.raises(OrientationError,
+    with pytest.raises(GadgetError,
                        match=r"^incidence \(1, clause 1\) has no orientation$"):
         extract_assignment(gmap, inst.realize(short))
 
@@ -214,7 +214,7 @@ def test_extraction_precedence_across_incidences():
          r"incidence \(3, clause 1\) has no orientation"),
     ]
     for add, drop, message in cases:
-        with pytest.raises(OrientationError, match="^%s$" % message):
+        with pytest.raises(GadgetError, match="^%s$" % message):
             extract(add, drop)
 
 
@@ -346,6 +346,17 @@ def test_orientation_solver_finds_the_first_satisfying_assignment():
         assert result.verdict == "SAT"
         assert result.completion.chosen == \
             completion_from_assignment(gmap, first), formula
+
+
+def test_orientation_solver_refuses_another_formula():
+    # The 8-pattern formula is unsatisfiable, and x4 has no shoulder in
+    # XYZ's map: neither may be solved on it.
+    eight = CnfFormula(3, tuple(tuple(s * v for s, v in zip(signs, (1, 2, 3)))
+                                for signs in product((1, -1), repeat=3)))
+    inst, gmap = build()
+    for formula in (eight, CnfFormula(4, ((1, 2, 3),))):
+        with pytest.raises(ValueError, match="is not gmap's"):
+            solve_with_orientations(formula, inst, gmap)
 
 
 def test_orientation_leaves_skip_propagation(monkeypatch):

@@ -1,5 +1,7 @@
 """Each builder's gadget map translates the instance that builder returned."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -35,3 +37,26 @@ def test_gadget_map_translates_its_builders_instance(prop, formula):
         g = inst.realize(chosen)
         assert check(g, prop)[0], assignment
         assert module.extract_assignment(gmap, g) == assignment
+
+
+@pytest.mark.parametrize("prop", list(BUILDERS))
+def test_gadget_map_is_a_record_of_its_formula(prop):
+    # The maps hold dicts, so they compare by value but do not hash.
+    build = BUILDERS[prop][1]
+    formula = FORMULAS[-1]
+    _, gmap = build(formula)
+    _, twin = build(formula)
+    assert isinstance(gmap, tuple)
+    assert gmap == twin and gmap is not twin
+    assert gmap.formula == formula
+    with pytest.raises(AttributeError):
+        gmap.formula = FORMULAS[0]
+    assert copy.deepcopy(gmap) == gmap
+    assert pickle.loads(pickle.dumps(gmap)) == gmap
+
+
+def test_odd_hole_free_map_is_the_c5_map_complemented():
+    _, c5_map = reduction_odd.build_c5_instance(FORMULAS[-1])
+    _, odd_map = reduction_odd.build_odd_hole_free_instance(FORMULAS[-1])
+    assert odd_map == c5_map._replace(complemented=True)
+    assert not c5_map.complemented
