@@ -58,6 +58,11 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     five-subset scan or path search, a 2-colourable host, which has no odd
     cycle, rules out an odd shape (odd, or length 5), and a chordal host,
     which has no hole, rules out every entry; neither spends budget.
+    An odd antihole entry is ruled out from `g` itself, before the
+    complement is built: an antihole of length k >= 5 is the complement of
+    C_k; for k = 5 that is a C5 of `g`, an odd cycle and a hole, and for
+    k >= 6 vertices 0, 2, 4 of C_k are a triangle of `g` and vertices
+    0, 3, 1, 4 an induced C4, so a 2-colourable or chordal `g` has none.
     Chordality is one pass of maximum cardinality search, and the perfect
     elimination order it returns is the certificate of a chordal graph.
     The certificate's vertex set lives in `g`, and every way to destroy the
@@ -67,10 +72,13 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     means unlimited.  Exhaustion raises BudgetExhausted and the verdict
     stays unknown.
     """
-    if prop not in FORBIDDEN:
+    if prop not in PROPERTY_IDS:
         raise ValueError("unknown property id %r" % (prop,))
     tracker = Budget(budget)
     for kind, shape in FORBIDDEN[prop]:
+        if (kind == "antihole" and shape in ("odd", 5)
+                and (is_bipartite(g) or _peo(g) is not None)):
+            continue
         host = g if kind == "hole" else g.complement()
         if shape in ("odd", 5) and is_bipartite(host):
             continue
@@ -90,11 +98,13 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
 
 def verify_certificate(g, prop, verdict, cert):
     """Re-check a (verdict, certificate) pair against the graph it came from."""
-    if prop not in FORBIDDEN:
+    if prop not in PROPERTY_IDS:
         raise ValueError("unknown property id %r" % (prop,))
-    # Anything but a tuple or list of ints would fail the checks below with
-    # TypeError instead of being rejected.
-    if cert is not None and not (isinstance(cert.vertices, (tuple, list))
+    # Anything but a Certificate whose vertices are a tuple or list of ints
+    # would fail the checks below with TypeError or AttributeError instead
+    # of being rejected.
+    if cert is not None and not (isinstance(cert, Certificate)
+                                 and isinstance(cert.vertices, (tuple, list))
                                  and all(map(_is_int, cert.vertices))):
         return False
     if verdict:

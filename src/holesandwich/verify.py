@@ -280,19 +280,24 @@ def recognition_matches_oracle(seed=DEFAULT_SEED):
     failures = []
     for mask in range(1 << 15):
         edges = [pairs[i] for i in range(15) if mask >> i & 1]
+        non_edges = [pairs[i] for i in range(15) if not mask >> i & 1]
         lengths = _full_hole_lengths(6, edges)
+        odd_hole = any(k % 2 for k in lengths)
+        odd_antihole = any(k % 2 for k in _full_hole_lengths(6, non_edges))
         expected = {
             "chordal": not lengths,
             "c5-free": 5 not in lengths,
-            "odd-hole-free": not any(k % 2 for k in lengths),
+            "odd-hole-free": not odd_hole,
             "even-hole-free": not any(k % 2 == 0 for k in lengths),
+            "odd-antihole-free": not odd_antihole,
+            "berge": not (odd_hole or odd_antihole),
         }
         g = Graph(6, edges)
         for prop, want in expected.items():
             got, _ = check(g, prop)
             if got != want:
                 failures.append("mask=%d prop=%s" % (mask, prop))
-    return ("32768 graphs x 4 properties, %d mismatches" % len(failures),
+    return ("32768 graphs x 6 properties, %d mismatches" % len(failures),
             failures)
 
 

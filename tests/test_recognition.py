@@ -96,9 +96,13 @@ def two_sided_graphs(max_n=16):
 
 
 @given(two_sided_graphs())
+@example(cycle_graph(6))
 @settings(max_examples=60)
 def test_two_sided_graphs_spend_no_budget_on_odd_shapes(g):
-    for prop in ("c5-free", "odd-hole-free"):
+    # A 2-colourable graph has no antihole longer than four either, so the
+    # antihole entries are ruled out without the complement, which for C6
+    # (the prism) is neither 2-colourable nor chordal.
+    for prop in ("c5-free", "odd-hole-free", "odd-antihole-free", "berge"):
         assert check(g, prop, budget=0) == (True, None)
 
 
@@ -123,19 +127,26 @@ def chordal_graphs():
 
 @given(chordal_graphs())
 @example(path_graph(4))
+@example(Graph(6, [(0, v) for v in range(1, 6)]
+               + [(v, v + 1) for v in range(1, 5)]))
 @settings(max_examples=60)
 def test_chordal_graphs_spend_no_budget(g):
     # The triangle makes the graph not 2-colourable, so only chordality
     # keeps it from the five-subset scan, which pays C(n-1, 4) up front,
     # and from the path searches.  P4 is 2-colourable, which rules out no
-    # even hole.  The complement is the antihole host.
-    for prop in ("c5-free", "odd-hole-free", "even-hole-free"):
+    # even hole.  The complement is the antihole host.  A chordal graph
+    # has no antihole longer than four, so the antihole entries are ruled
+    # out from the graph itself; the complement of the triangle fan is
+    # neither 2-colourable nor chordal.
+    for prop in ("c5-free", "odd-hole-free", "even-hole-free",
+                 "odd-antihole-free", "berge"):
         assert check(g, prop, budget=0) == (True, None)
     verdict, cert = check(g, "chordal", budget=0)
     assert verdict and verify_certificate(g, "chordal", verdict, cert)
     assert check(g.complement(), "odd-antihole-free", budget=0) == (True, None)
     if g.n <= 10:
-        assert property_oracle(g.n, g.edges(), "c5-free")
+        for prop in ("c5-free", "odd-antihole-free", "berge"):
+            assert property_oracle(g.n, g.edges(), prop)
 
 
 def test_peo_decides_chordality():
@@ -215,6 +226,9 @@ def test_five_cycle_violates_both_self_complementary_properties():
     assert not verify_certificate(g, "c5-free", False,
                                   Certificate("hole", (False, 1, 2, 3, 4)))
     assert not verify_certificate(g, "c5-free", False, None)
+    # So is a certificate that is no Certificate.
+    for cert in (("hole", (0, 1, 2, 3, 4)), "hole"):
+        assert not verify_certificate(g, "c5-free", False, cert)
     # So is a vertex sequence that is no tuple or list.
     for vertices in (5, None, {0, 1, 2, 3, 4}, iter((0, 1, 2, 3, 4))):
         assert not verify_certificate(g, "c5-free", False,
@@ -409,3 +423,8 @@ def test_unknown_property_rejected():
         check(cycle_graph(4), "planar")
     with pytest.raises(ValueError):
         verify_certificate(cycle_graph(4), "bogus", True, None)
+    # An unhashable id is unknown too, not a TypeError.
+    with pytest.raises(ValueError):
+        check(cycle_graph(4), ["c5-free"])
+    with pytest.raises(ValueError):
+        verify_certificate(cycle_graph(4), ["c5-free"], True, None)
