@@ -23,6 +23,7 @@ shoulder to every knee.
 import itertools
 from collections import namedtuple
 
+from .cnf import _is_int
 from .graph import canonical_rotation
 from .recognition import DEFAULT_CHECK_BUDGET, check
 from .reduction_odd import GadgetError
@@ -195,25 +196,25 @@ class PropagationResult(namedtuple("PropagationResult", "forced certificate",
 
 
 def propagate_orientations(inst, gmap, decided):
-    """Close a partial decision under the construction's implication rules.
+    """Close a partial decision under the construction's one implication rule.
 
-    Two rule families, applied in synchronous rounds to a fixpoint:
-
-    * four-cycle completion, over every 4-subset avoiding W1/W2 and each of
-      its three pairings: a present 4-cycle with both diagonals excluded is a
-      contradiction; with one diagonal excluded the other is forced in; a
-      present 3-path whose closing edge is undecided and whose diagonals are
-      both excluded forces the closing edge out.  Each 4-subset's six pair
-      states are read once and shared by its three pairings;
-    * six-hole rule: a present knee-shoulder edge (kappa, sigma) with
-      head-sigma present closes the six-cycle through W1/W2 (foot-kappa is
-      always forced), so head-kappa or foot-sigma must be in; with one out
-      the other is forced, with both out the six-hole itself is the
-      contradiction certificate.
+    The rule is unit propagation on a four-cycle's repair clause, "some side
+    out or some diagonal in", applied in synchronous rounds to a fixpoint:
+    with all four sides present, both diagonals out is a contradiction and
+    one diagonal out forces the other in; with three sides present, the
+    fourth undecided and both diagonals out, the fourth is forced out.  It
+    runs on the three pairings of every 4-subset avoiding W1/W2, whose six
+    pair states are read once per round, and on each six-hole (head, W1,
+    W2, foot, k, s) whose k-s and head-s are both in, as the four-cycle
+    head-foot-k-s through the W path: W1 and W2 have no chords and foot-k
+    is forced, so head-k or foot-s must be in.  A six-hole's certificate is
+    the six-hole itself.
 
     Contradictions found in the same round are ranked by (length, sorted
     vertex tuple) and the smallest is reported.  Decisions derived in rounds
-    before the contradiction are reported in forced either way.
+    before the contradiction are reported in forced either way.  Raises
+    ValueError for a decision key that is not a pair of distinct vertices
+    of `inst`, and for a decision against a forced or forbidden pair.
     """
     n = inst.n
     # Pair states in a flat n*n table, both orders of each pair kept equal.
@@ -226,17 +227,19 @@ def propagate_orientations(inst, gmap, decided):
         put(u, v, IN)
     for u, v in inst.optional:
         put(u, v, UND)
-    for e, val in decided.items():
-        e = normalized_edge(*e)
-        if e in inst.forced:
-            if not val:
-                raise ValueError("decision excludes forced edge %r" % (e,))
-            continue
-        if e not in inst.optional:
-            if val:
-                raise ValueError("decision includes forbidden edge %r" % (e,))
-            continue
-        put(*e, IN if val else OUT)
+    for key, val in decided.items():
+        try:
+            e = normalized_edge(*key)
+        except (TypeError, ValueError):
+            e = None, None
+        if not (_is_int(e[0]) and _is_int(e[1]) and 0 <= e[0] and e[1] < n):
+            raise ValueError("decision key %r is not a pair of distinct "
+                             "vertices of the instance" % (key,))
+        if e in inst.optional:
+            put(*e, IN if val else OUT)
+        elif (e in inst.forced) != bool(val):
+            raise ValueError("decision %s edge %r" % (
+                "includes forbidden" if val else "excludes forced", e))
 
     core = [v for v in range(n) if v not in (W1, W2)]
     knees = sorted(gmap.knee.values())
@@ -258,12 +261,13 @@ def propagate_orientations(inst, gmap, decided):
                 return
             batch[e] = val
 
-        def four_cycle(a, b, c, d, ab, bc, cd, da, ac, bd):
+        def four_cycle(a, b, c, d, ab, bc, cd, da, ac, bd, hole=None):
+            # hole: the hole the cycle a-b-c-d stands for, if not itself.
             sides = (ab, bc, cd, da)
             present = sides.count(IN)
             if present == 4:
                 if ac == OUT and bd == OUT:
-                    contradictions.append((a, b, c, d))
+                    contradictions.append(hole or (a, b, c, d))
                 elif ac == OUT and bd == UND:
                     force(b, d, True)
                 elif bd == OUT and ac == UND:
@@ -283,20 +287,14 @@ def propagate_orientations(inst, gmap, decided):
             four_cycle(a, b, d, c, ab, bd, cd, ac, ad, bc)
             four_cycle(a, c, b, d, ac, bc, bd, ad, ab, cd)
 
+        # The six-hole through W1/W2 is the four-cycle head-foot-k-s with
+        # head-foot present; foot-k is always forced.
         for k in knees:
             for s in shoulders:
-                if state[k * n + s] != IN or state[HEAD * n + s] != IN:
-                    continue
-                hk = state[HEAD * n + k]
-                fs = state[FOOT * n + s]
-                if hk == IN or fs == IN:
-                    continue
-                if hk == OUT and fs == OUT:
-                    contradictions.append((HEAD, W1, W2, FOOT, k, s))
-                elif hk == OUT:
-                    force(FOOT, s, True)
-                elif fs == OUT:
-                    force(HEAD, k, True)
+                if state[k * n + s] == IN and state[HEAD * n + s] == IN:
+                    four_cycle(HEAD, FOOT, k, s, IN, IN, IN, IN,
+                               state[HEAD * n + k], state[FOOT * n + s],
+                               (HEAD, W1, W2, FOOT, k, s))
 
         if contradictions:
             cert = min(contradictions, key=lambda c: (len(c), sorted(c)))

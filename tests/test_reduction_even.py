@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from itertools import product
 
 import pytest
@@ -247,6 +248,13 @@ def test_propagation_rejects_decisions_on_non_optional_pairs():
     # Excluding a forbidden pair agrees with the instance and is accepted.
     assert propagate_orientations(inst, gmap, {head_foot: False}) \
         == propagate_orientations(inst, gmap, {})
+    # A key must be two distinct int (not bool) vertices of the instance.
+    assert inst.n == 16
+    for key in ((True, 5), (1, 16), (-1, 2), (2.0, 5), (0, 99), 5, (0, 1, 2),
+                (3, 3)):
+        with pytest.raises(ValueError, match="^decision key %s is not a pair"
+                           % re.escape(repr(key))):
+            propagate_orientations(inst, gmap, {key: False})
 
 
 def test_six_hole_rule_needs_the_head_shoulder_edge():
@@ -259,6 +267,15 @@ def test_six_hole_rule_needs_the_head_shoulder_edge():
     assert propagate_orientations(inst, gmap, decided).certificate is None
     decided[normalized_edge(HEAD, s)] = False
     assert propagate_orientations(inst, gmap, decided).certificate is None
+    # With H-S_x4 in, the six-hole closes: it is the certificate, and
+    # without the F-S_x4 decision it forces F-S_x4 in instead.
+    decided[normalized_edge(HEAD, s)] = True
+    assert propagate_orientations(inst, gmap, decided).certificate \
+        == (HEAD, W1, W2, FOOT, k, s) == (0, 2, 3, 1, 12, 10)
+    del decided[normalized_edge(FOOT, s)]
+    result = propagate_orientations(inst, gmap, decided)
+    assert result.certificate is None
+    assert result.forced[normalized_edge(FOOT, s)] is True
 
 
 def test_all_negative_orientations_contradict():
