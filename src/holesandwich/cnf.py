@@ -75,7 +75,8 @@ def parse_dimacs(text):
     end marker) ends the formula.
     """
     header = None
-    literals = []
+    clauses = []
+    current = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("%"):
@@ -98,18 +99,14 @@ def parse_dimacs(text):
             lit = parse_int(tok)
             if lit is None:
                 raise CnfError("line %d: bad literal %r" % (lineno, tok))
-            literals.append(lit)
+            if lit == 0:
+                clauses.append(tuple(current))
+                current = []
+            else:
+                current.append(lit)
     if header is None:
         raise CnfError("missing 'p cnf' header")
     num_vars, num_clauses = header
-    clauses = []
-    current = []
-    for lit in literals:
-        if lit == 0:
-            clauses.append(tuple(current))
-            current = []
-        else:
-            current.append(lit)
     if current:
         raise CnfError("final clause is not zero-terminated")
     if len(clauses) != num_clauses:

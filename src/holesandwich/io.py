@@ -22,27 +22,17 @@ def parse_instance(text):
     `f <u> <v>` forced edges, `o <u> <v>` optional edges.  Blank lines and
     `#` comments are skipped.  Names are optional but all-or-nothing.
     """
-    n = None
+    records = _records(text, "sandwich", "'sandwich <n>'")
+    lineno, header = next(records)
+    n = parse_int(header[1]) if len(header) == 2 else None
+    if n is None or n < 0:
+        raise InstanceFormatError(
+            "line %d: header must be 'sandwich <n>'" % lineno)
     names = {}
     forced = []
     optional = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, parts in records:
         kind = parts[0]
-        if kind == "sandwich":
-            if n is not None:
-                raise InstanceFormatError("line %d: duplicate header" % lineno)
-            n = parse_int(parts[1]) if len(parts) == 2 else None
-            if n is None or n < 0:
-                raise InstanceFormatError(
-                    "line %d: header must be 'sandwich <n>'" % lineno)
-            continue
-        if n is None:
-            raise InstanceFormatError(
-                "line %d: content before 'sandwich <n>' header" % lineno)
         if kind == "v":
             if len(parts) != 3:
                 raise InstanceFormatError(
@@ -61,8 +51,6 @@ def parse_instance(text):
         else:
             raise InstanceFormatError(
                 "line %d: unknown record %r" % (lineno, kind))
-    if n is None:
-        raise InstanceFormatError("missing 'sandwich <n>' header")
     if len(set(forced)) != len(forced) or len(set(optional)) != len(optional):
         raise InstanceFormatError("duplicate edge lines")
     name_tuple = None
@@ -96,37 +84,24 @@ def parse_completion(text, inst):
     Edges must be among the optional edges of `inst`; a count in the
     header, when present, must match the number of edges.
     """
+    records = _records(text, "completion", "'completion'")
+    lineno, header = next(records)
+    count = parse_int(header[1]) if len(header) == 2 else 0
+    if len(header) > 2 or count is None or count < 0:
+        raise InstanceFormatError(
+            "line %d: header must be 'completion [<count>]'" % lineno)
     chosen = []
-    expected = None
-    seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "completion":
-            if seen_header:
-                raise InstanceFormatError("line %d: duplicate header" % lineno)
-            count = parse_int(parts[1]) if len(parts) == 2 else 0
-            if len(parts) > 2 or count is None or count < 0:
-                raise InstanceFormatError(
-                    "line %d: header must be 'completion [<count>]'" % lineno)
-            if len(parts) == 2:
-                expected = count
-            seen_header = True
-            continue
+    for lineno, parts in records:
         if parts[0] != "e" or len(parts) != 3:
             raise InstanceFormatError(
                 "line %d: completion lines are 'e <u> <v>'" % lineno)
         chosen.append(_pair(parts, inst.n, lineno))
-    if not seen_header:
-        raise InstanceFormatError("missing 'completion' header")
     if len(set(chosen)) != len(chosen):
         raise InstanceFormatError("duplicate edge lines")
     result = frozenset(chosen)
-    if expected is not None and expected != len(result):
+    if len(header) == 2 and count != len(result):
         raise InstanceFormatError(
-            "header promises %d edges, found %d" % (expected, len(result)))
+            "header promises %d edges, found %d" % (count, len(result)))
     stray = result - inst.optional
     if stray:
         raise InstanceFormatError(
@@ -210,6 +185,31 @@ def _dot_id(text):
             "node", "edge", "graph", "digraph", "subgraph", "strict"):
         return text
     return _dot_string(text)
+
+
+def _records(text, word, spelled):
+    """(line number, fields) of each line of `text` that is neither blank
+    nor a `#` comment, header (first field `word`) first.  Raises on a
+    missing or second header, and on content before it once it is reached,
+    so a text without a header reads as missing it."""
+    header, early = False, None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if fields[0] == word:
+            if header:
+                raise InstanceFormatError("line %d: duplicate header" % lineno)
+            if early is not None:
+                raise InstanceFormatError(
+                    "line %d: content before %s header" % (early, spelled))
+            header = True
+        elif not header:
+            early = early or lineno
+            continue
+        yield lineno, fields
+    if not header:
+        raise InstanceFormatError("missing %s header" % spelled)
 
 
 def _vertex(token, n, lineno):

@@ -192,13 +192,14 @@ def _scan_c5(g, budget):
     Five vertices induce a C5 exactly when each has two neighbours inside
     the subset (a 2-regular graph on five vertices is connected).  The
     C(n-a-1, 4) subsets whose smallest vertex is a are paid for from
-    `budget` before they are scanned.  `check` scans no 2-colourable or
+    `budget` once scanned, and not at all when a C5 is among them: a
+    budget below one such batch is overrun by at most the batch, 82,251
+    subsets (about 0.1 s) at n = 40.  `check` scans no 2-colourable or
     chordal host, which has no C5.  The scan only tests existence; the
     certificate comes from the path search, in enumeration order.
     """
     n, adj = g.n, g.adj
     for a in range(n):
-        budget.spend(comb(n - a - 1, 4))
         low = 1 << a
         for rest in combinations(range(a + 1, n), 4):
             mask = low
@@ -207,4 +208,5 @@ def _scan_c5(g, budget):
             if (all((adj[v] & mask).bit_count() == 2 for v in rest)
                     and (adj[a] & mask).bit_count() == 2):
                 return True
+        budget.spend(comb(n - a - 1, 4))
     return False

@@ -57,6 +57,7 @@ def test_comments_blank_lines_and_reversed_pairs():
     ("sandwich 3\nf \u0661 \u0662\n", "not an integer"),
     ("sandwich 3\nf +1 2\n", "not an integer"),
     ("sandwich +3\n", "header must be"),
+    ("f 0 1\n", "missing 'sandwich"),
 ])
 def test_parse_instance_rejects(text, message):
     with pytest.raises(InstanceFormatError, match=message):
@@ -98,6 +99,7 @@ def test_completion_round_trip():
     ("completion 1\ne +0 2\n", "not an integer"),
     ("completion -1\n", "header must be"),
     ("completion\ne -1 2\n", "vertex -1 out of range"),
+    ("e 0 2\ncompletion 1\n", "line 1: content before 'completion' header"),
 ])
 def test_parse_completion_rejects(text, message):
     inst = parse_instance(SAMPLE)

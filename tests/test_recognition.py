@@ -75,7 +75,7 @@ def test_bipartite_graphs_are_odd_hole_free():
 def test_bipartite_graphs_skip_the_odd_hole_search():
     # K20,20 has 36,100 four-holes; enumerating them to rule out an odd hole
     # spends far more than 1,000 expansions, and the five-subset scan would
-    # pay C(39, 4) = 82,251 up front.
+    # pay C(39, 4) = 82,251 once it had scanned its first anchor.
     k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)])
     for prop in ("c5-free", "odd-hole-free", "berge"):
         assert check(k20, prop, budget=1000) == (True, None)
@@ -132,12 +132,12 @@ def chordal_graphs():
 @settings(max_examples=60)
 def test_chordal_graphs_spend_no_budget(g):
     # The triangle makes the graph not 2-colourable, so only chordality
-    # keeps it from the five-subset scan, which pays C(n-1, 4) up front,
-    # and from the path searches.  P4 is 2-colourable, which rules out no
-    # even hole.  The complement is the antihole host.  A chordal graph
-    # has no antihole longer than four, so the antihole entries are ruled
-    # out from the graph itself; the complement of the triangle fan is
-    # neither 2-colourable nor chordal.
+    # keeps it from the five-subset scan, which pays C(n-1, 4) after its
+    # first anchor, and from the path searches.  P4 is 2-colourable, which
+    # rules out no even hole.  The complement is the antihole host.  A
+    # chordal graph has no antihole longer than four, so the antihole
+    # entries are ruled out from the graph itself; the complement of the
+    # triangle fan is neither 2-colourable nor chordal.
     for prop in ("c5-free", "odd-hole-free", "even-hole-free",
                  "odd-antihole-free", "berge"):
         assert check(g, prop, budget=0) == (True, None)
@@ -405,7 +405,7 @@ def test_tiny_budget_exhausts():
 
 def test_c5_scan_spends_the_budget():
     # The five-subset scan pays for the C(n-a-1, 4) subsets whose smallest
-    # vertex is a before it scans them: C(39, 4) = 82,251 at a = 0.  The
+    # vertex is a once it has scanned them: C(39, 4) = 82,251 at a = 0.  The
     # edge (0, 1) gives K20,20 a triangle, so the graph is not 2-colourable,
     # and its four-holes make it not chordal: it still takes the scan.  But
     # every cycle through (0, 1) is a triangle or has a chord: there is no
@@ -417,6 +417,16 @@ def test_c5_scan_spends_the_budget():
         check(k20, "c5-free", budget=1000)
     assert check(k20, "c5-free") == (True, None)
 
+
+
+def test_c5_scan_charges_only_what_it_scanned():
+    # A C5 on 0..4 among isolated vertices turns up in anchor 0's first
+    # subset; the scan pays nothing for that anchor, so budget 3 answers at
+    # n = 10 and n = 40 as it does at n = 41, where no scan runs.
+    for n in (10, 40, 41):
+        c5 = Graph(n, [(i, (i + 1) % 5) for i in range(5)])
+        assert check(c5, "c5-free", budget=3) == (
+            False, Certificate("hole", (0, 1, 2, 3, 4)))
 
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
