@@ -25,6 +25,33 @@ def _bits(mask):
         mask ^= low
 
 
+def _vertex_pair(e, n, label):
+    """`e` as (u, v) with u < v, both ints in 0..n-1 (a bool is no vertex);
+    else a ValueError naming `label`, the pair and its fault."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        u = v = None
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError("%s %r is not a pair of ints" % (label, e))
+    if v < u:
+        u, v = v, u
+    if 0 <= u < v < n:
+        return u, v
+    raise ValueError("%s %r %s" % (
+        label, (u, v), "is a loop" if u == v else "out of range"))
+
+
+def _masks(n, pairs, base=None):
+    """Adjacency masks on 0..n-1: those of `base` (default: no edge) plus
+    each pair of `pairs`, which holds read pairs only."""
+    adj = list(base or [0] * n)
+    for u, v in pairs:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
 class Graph(namedtuple("Graph", "n adj")):
     """Undirected simple graph on vertices 0..n-1: `adj[v]` masks v's
     neighbours.  `Graph(n, edges)` checks its input; `Graph._make((n,
@@ -36,21 +63,8 @@ class Graph(namedtuple("Graph", "n adj")):
     def __new__(cls, n, edges=()):
         if not _is_int(n) or n < 0:
             raise ValueError("vertex count %r is not a non-negative int" % (n,))
-        adj = [0] * n
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise ValueError("edge %r is not a pair of vertices"
-                                 % (e,)) from None
-            if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
-                raise ValueError("edge (%r, %r) is not a pair of vertices"
-                                 % (u, v))
-            if u == v:
-                raise ValueError("loop edge at vertex %r" % u)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return super().__new__(cls, n, tuple(adj))
+        pairs = (_vertex_pair(e, n, "edge") for e in edges)
+        return super().__new__(cls, n, _masks(n, pairs))
 
     def __getnewargs__(self):
         return self.n, self.edges()
@@ -85,22 +99,23 @@ class Graph(namedtuple("Graph", "n adj")):
 
     def induced(self, subset):
         """Induced subgraph, reindexed to 0..k-1 in sorted(subset) order."""
+        subset = list(subset)
+        if not all(_is_int(v) and 0 <= v < self.n for v in subset):
+            raise ValueError("subset out of range or not of ints")
         subset = sorted(set(subset))
-        if subset and not (0 <= subset[0] and subset[-1] < self.n):
-            raise ValueError("subset out of range")
-        index = {v: i for i, v in enumerate(subset)}
-        edges = [(index[u], index[v]) for u, v in combinations(subset, 2)
-                 if self.has_edge(u, v)]
-        return Graph(len(subset), edges)
+        return Graph(len(subset), [
+            (i, j) for (i, u), (j, v) in combinations(enumerate(subset), 2)
+            if self.has_edge(u, v)])
 
 
 def is_hole(g, vertices):
     """True when `vertices`, in the order given, is a chordless cycle of
-    `g`: its vertices are g's, consecutive pairs (the last and the first
-    too) adjacent, all other pairs not.  A triangle passes."""
+    `g`: its vertices are g's (ints, no bool), consecutive pairs (the last
+    and the first too) adjacent, all other pairs not.  A triangle passes."""
     vs = vertices
     k = len(vs)
-    if k < 3 or len(set(vs)) != k or not 0 <= min(vs) <= max(vs) < g.n:
+    if (k < 3 or not all(_is_int(v) and 0 <= v < g.n for v in vs)
+            or len(set(vs)) != k):
         return False
     for i, u in enumerate(vs):
         if not g.has_edge(u, vs[(i + 1) % k]):

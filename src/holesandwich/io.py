@@ -155,19 +155,21 @@ def load_roles(text):
 def format_dot(inst, chosen=None, graph_name="sandwich"):
     """DOT text: forced edges solid, optional dashed, forbidden omitted.
 
-    With a completion, chosen optional edges are drawn solid bold and the
-    remaining optional edges dotted, so the realized graph stands out.
+    With a completion, read as `inst.realize` reads it, the optional edges
+    of the realized graph are drawn solid bold and the remaining optional
+    edges dotted, so that graph stands out.
     Labels are quoted with backslash and double quote escaped; the graph
     name is quoted too unless it is a bare identifier.
     """
+    g = None if chosen is None else inst.realize(chosen)
     lines = ["graph %s {" % _dot_id(graph_name)]
     for v in range(inst.n):
         lines.append("  %d [label=%s];" % (v, _dot_string(inst.name(v))))
     for u, v in sorted(inst.forced):
         lines.append("  %d -- %d;" % (u, v))
     for u, v in sorted(inst.optional):
-        style = ("dashed" if chosen is None
-                 else "bold" if (u, v) in chosen else "dotted")
+        style = ("dashed" if g is None
+                 else "bold" if g.has_edge(u, v) else "dotted")
         lines.append("  %d -- %d [style=%s];" % (u, v, style))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,8 +23,7 @@ shoulder to every knee.
 import itertools
 from collections import namedtuple
 
-from .cnf import _is_int
-from .graph import canonical_rotation
+from .graph import _vertex_pair, canonical_rotation
 from .recognition import DEFAULT_CHECK_BUDGET, check
 from .reduction_odd import GadgetError
 from .sandwich import (DEFAULT_SOLVE_BUDGET, Completion, SandwichInstance,
@@ -228,13 +227,7 @@ def propagate_orientations(inst, gmap, decided):
     for u, v in inst.optional:
         put(u, v, UND)
     for key, val in decided.items():
-        try:
-            e = normalized_edge(*key)
-        except (TypeError, ValueError):
-            e = None, None
-        if not (_is_int(e[0]) and _is_int(e[1]) and 0 <= e[0] and e[1] < n):
-            raise ValueError("decision key %r is not a pair of distinct "
-                             "vertices of the instance" % (key,))
+        e = _vertex_pair(key, n, "decision key")
         if e in inst.optional:
             put(*e, IN if val else OUT)
         elif (e in inst.forced) != bool(val):

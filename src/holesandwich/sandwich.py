@@ -17,7 +17,7 @@ from math import inf
 
 from .budget import Budget, BudgetExhausted
 from .cnf import _is_int
-from .graph import Graph
+from .graph import Graph, _masks, _vertex_pair
 from .recognition import DEFAULT_CHECK_BUDGET, PROPERTY_IDS, check
 
 DEFAULT_SOLVE_BUDGET = 10 ** 6
@@ -54,17 +54,9 @@ class SandwichInstance(namedtuple("SandwichInstance",
             pairs = set()
             for e in edges:
                 try:
-                    u, v = e
-                except (TypeError, ValueError):
-                    u = v = None
-                if _is_int(u) and _is_int(v):
-                    pairs.add((u, v) if u < v else (v, u))
-                else:
-                    errors.append("%s edge %r is not a pair of ints"
-                                  % (label, e))
-            for u, v in sorted(e for e in pairs if not 0 <= e[0] < e[1] < top):
-                errors.append("%s edge %r %s" % (
-                    label, (u, v), "is a loop" if u == v else "out of range"))
+                    pairs.add(_vertex_pair(e, top, label + " edge"))
+                except ValueError as exc:
+                    errors.append(str(exc))
             stored.append(frozenset(pairs))
         forced, optional = stored
         overlap = forced & optional
@@ -79,7 +71,8 @@ class SandwichInstance(namedtuple("SandwichInstance",
                 errors.append("name %r of vertex %d is not one non-empty "
                               "word" % (name, v))
         if errors:
-            raise ValueError("invalid instance: " + "; ".join(errors))
+            raise ValueError("invalid instance: "
+                             + "; ".join(dict.fromkeys(errors)))
         return super().__new__(cls, n, forced, optional, names)
 
     def _replace(self, **fields):
@@ -91,25 +84,24 @@ class SandwichInstance(namedtuple("SandwichInstance",
         return str(v) if self.names is None else self.names[v]
 
     def forbidden(self):
-        allowed = self.forced | self.optional
-        return frozenset(p for p in combinations(range(self.n), 2)
-                         if p not in allowed)
+        return frozenset(self.g2().complement().edges())
 
     def g1(self):
         """Graph of forced edges."""
-        return Graph(self.n, self.forced)
+        return Graph._make((self.n, _masks(self.n, self.forced)))
 
     def g2(self):
         """Graph of forced plus optional edges."""
-        return Graph(self.n, self.forced | self.optional)
+        return Graph._make((self.n, _masks(self.n, self.optional,
+                                           self.g1().adj)))
 
     def realize(self, chosen):
-        """Sandwich graph with exactly `chosen` optional edges added."""
-        chosen = frozenset(chosen)
+        """Sandwich graph plus the optional pairs `chosen`, either order."""
+        chosen = {_vertex_pair(e, self.n, "chosen edge") for e in chosen}
         extra = chosen - self.optional
         if extra:
             raise ValueError("edges %r are not optional" % sorted(extra))
-        return Graph(self.n, self.forced | chosen)
+        return Graph._make((self.n, _masks(self.n, chosen, self.g1().adj)))
 
 
 def complement_instance(inst):
@@ -190,12 +182,8 @@ def solve(inst, prop, budget=DEFAULT_SOLVE_BUDGET):
             e, value, link = link
             decided[e] = value
         chosen = [e for e, value in decided.items() if value]
-        # Chosen pairs are optional, so checked by SandwichInstance already.
-        adj = list(forced_adj)
-        for u, v in chosen:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        g = Graph._make((inst.n, tuple(adj)))
+        # Chosen pairs are optional, so read by SandwichInstance already.
+        g = Graph._make((inst.n, _masks(inst.n, chosen, forced_adj)))
         verdict, cert = check(g, prop, check_budget)
         if verdict:
             return Completion(frozenset(chosen))

@@ -45,7 +45,7 @@ def test_rejects_loops_and_out_of_range():
         with pytest.raises(ValueError):
             Graph(n, edges)
     for edge in (5, None, (0,), (0, 1, 2)):
-        with pytest.raises(ValueError, match="is not a pair of vertices"):
+        with pytest.raises(ValueError, match="is not a pair of ints"):
             Graph(3, [edge])
     with pytest.raises(ValueError, match="subset out of range"):
         Graph(3).induced([0, 3])
@@ -80,6 +80,16 @@ def test_induced_reindexes_in_sorted_order():
     h = g.induced([4, 0, 2])
     assert h.n == 3
     assert h.edges() == [(0, 1), (1, 2)]  # 0-2, 2-4 survive
+
+
+def test_a_bool_or_non_int_is_no_vertex():
+    # As in Graph(n, edges): True would read as vertex 1 in a shift.
+    square = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for cycle in ((0, True, 2, 3), (0, 1.0, 2, 3), (0, None, 2, 3)):
+        assert not is_hole(square, cycle)
+    for subset in ([True, 2, 3], [0, 1.0], [None], ["1"]):
+        with pytest.raises(ValueError, match="subset out of range"):
+            square.induced(subset)
 
 
 @given(small_graphs())

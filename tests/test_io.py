@@ -2,8 +2,10 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from holesandwich.cnf import CnfFormula
+from holesandwich.graph import Graph, _vertex_pair
 from holesandwich.io import (InstanceFormatError, dump_roles,
                              format_completion, format_dot, format_instance,
                              load_roles, parse_completion, parse_instance)
@@ -136,6 +138,49 @@ def test_dot_styles():
     chosen = format_dot(inst, {(1, 2)})
     assert "  1 -- 2 [style=bold];" in chosen
     assert "  0 -- 2 [style=dotted];" in chosen
+
+
+def test_dot_reads_chosen_pairs_as_realize_does():
+    inst = SandwichInstance(3, [(0, 1)], [(2, 0)])
+    # A chosen pair in either order is drawn bold.
+    for chosen in ({(2, 0)}, {(0, 2)}):
+        assert "  0 -- 2 [style=bold];" in format_dot(inst, chosen)
+    # A chosen pair that is no optional pair is refused, not dropped.
+    for chosen in ({(1, 2)}, {(0, 1)}, {(0, 0)}):
+        with pytest.raises(ValueError):
+            format_dot(inst, chosen)
+
+
+def _maybe_pairs(n):
+    """A vertex count and something that may or may not be a pair of its
+    vertices."""
+    # In range half the time, so that reversed good pairs are common.
+    vertex = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(-2, n + 2))
+    scalar = st.one_of(vertex, st.booleans(), st.floats(), st.none())
+    thing = st.one_of(scalar, st.tuples(vertex, vertex),
+                      st.lists(scalar, max_size=3).map(tuple))
+    return st.tuples(st.just(n), thing)
+
+
+@given(st.integers(0, 5).flatmap(_maybe_pairs))
+def test_every_pair_reader_agrees(n_and_e):
+    # Graph, the instance, realize and format_dot read a pair one way.
+    n, e = n_and_e
+    try:
+        pair = _vertex_pair(e, n, "edge")
+    except ValueError:
+        for build in (lambda: Graph(n, [e]),
+                      lambda: SandwichInstance(n, [e], []),
+                      lambda: SandwichInstance(n, [], [e])):
+            with pytest.raises(ValueError):
+                build()
+        return
+    assert Graph(n, [e]).edges() == [pair]
+    assert SandwichInstance(n, [e], []).forced == {pair}
+    inst = SandwichInstance(n, [], [e])
+    assert inst.optional == {pair}
+    assert inst.realize([e]).edges() == [pair]
+    assert "  %d -- %d [style=bold];" % pair in format_dot(inst, [e])
 
 
 def test_dot_escapes_labels_and_quotes_names():

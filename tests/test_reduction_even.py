@@ -252,7 +252,7 @@ def test_propagation_rejects_decisions_on_non_optional_pairs():
     assert inst.n == 16
     for key in ((True, 5), (1, 16), (-1, 2), (2.0, 5), (0, 99), 5, (0, 1, 2),
                 (3, 3)):
-        with pytest.raises(ValueError, match="^decision key %s is not a pair"
+        with pytest.raises(ValueError, match="^decision key %s "
                            % re.escape(repr(key))):
             propagate_orientations(inst, gmap, {key: False})
 

@@ -100,6 +100,18 @@ def test_realize_rejects_non_optional_edges():
         inst.realize({(1, 3)})
 
 
+def test_realize_reads_a_chosen_pair_in_either_order():
+    inst = SandwichInstance(3, [(0, 1)], [(2, 0)])
+    assert inst.realize({(2, 0)}) == inst.realize({(0, 2)})
+    assert inst.realize({(2, 0)}).edges() == [(0, 1), (0, 2)]
+    for chosen, message in (({(1, 2)}, r"edges \[\(1, 2\)\] are not optional"),
+                            ({(2, 2)}, r"chosen edge \(2, 2\) is a loop"),
+                            ({(0, 3)}, r"chosen edge \(0, 3\) out of range"),
+                            ({(0, True)}, "is not a pair of ints")):
+        with pytest.raises(ValueError, match=message):
+            inst.realize(chosen)
+
+
 def test_g1_g2_bounds():
     inst = SandwichInstance(4, SQUARE, {(0, 2)})
     assert len(inst.g1().edges()) == 4
