@@ -192,13 +192,18 @@ def _cmd_extract(args):
 
 
 def _cmd_verify(args):
-    from .verify import DEFAULT_SEED, check_suite_name, run_suite
+    from time import perf_counter
+    from .verify import DEFAULT_SEED, SUITES, check_suite_name, run_suite
     try:
         check_suite_name(args.suite)
     except ValueError as exc:
         raise CliError(exc)
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    results = run_suite(args.suite, seed=seed)
+    results = []
+    for key in (SUITES if args.suite == "all" else (args.suite,)):
+        start = perf_counter()
+        results.append(run_suite(key, seed=seed))
+        print("%s: %.3f s" % (key, perf_counter() - start), file=sys.stderr)
     print("seed %d" % seed)
     for r in results:
         print("[%s] %d %s: %s" % ("PASS" if r.passed else "FAIL", r.number,

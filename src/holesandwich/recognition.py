@@ -10,6 +10,7 @@ and raise BudgetExhausted rather than guess.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -63,8 +64,9 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
     C_k; for k = 5 that is a C5 of `g`, an odd cycle and a hole, and for
     k >= 6 vertices 0, 2, 4 of C_k are a triangle of `g` and vertices
     0, 3, 1, 4 an induced C4, so a 2-colourable or chordal `g` has none.
-    Chordality is one pass of maximum cardinality search, and the perfect
-    elimination order it returns is the certificate of a chordal graph.
+    Chordality is one pass of maximum cardinality search, whose perfect
+    elimination order certifies a chordal graph; a graph's 2-colouring and
+    order are computed once per graph value, by `_facts`, and shared.
     The certificate's vertex set lives in `g`, and every way to destroy the
     structure adds a non-edge in it.
 
@@ -76,13 +78,14 @@ def check(g, prop, budget=DEFAULT_CHECK_BUDGET):
         raise ValueError("unknown property id %r" % (prop,))
     tracker = Budget(budget)
     for kind, shape in FORBIDDEN[prop]:
-        if (kind == "antihole" and shape in ("odd", 5)
-                and (is_bipartite(g) or _peo(g) is not None)):
-            continue
+        if kind == "antihole" and shape in ("odd", 5):
+            bipartite, order = _facts(g)
+            if bipartite or order is not None:
+                continue
         host = g if kind == "hole" else g.complement()
-        if shape in ("odd", 5) and is_bipartite(host):
+        bipartite, order = _facts(host)
+        if shape in ("odd", 5) and bipartite:
             continue
-        order = _peo(host)
         if order is not None:
             if prop == "chordal":
                 return True, Certificate("peo", order)
@@ -128,6 +131,12 @@ def _fits(length, shape):
     if shape == 5:
         return length == 5
     return length >= 4 and shape in (None, ("even", "odd")[length % 2])
+
+
+@lru_cache(maxsize=2)  # a graph and its complement: the hosts of its checks
+def _facts(host):
+    """(is_bipartite(host), _peo(host)), memoised per graph value (n, adj)."""
+    return is_bipartite(host), _peo(host)
 
 
 def _peo(g):

@@ -14,7 +14,7 @@ CRITERION_NUMBERS = {name: i for i, name in enumerate(SUITES, start=1)}
 
 @pytest.mark.parametrize("name", list(SUITES), ids=list(SUITES))
 def test_criterion(name):
-    (result,) = run_suite(name)
+    result = run_suite(name)
     line = "[%s] %d %s: %s" % ("PASS" if result.passed else "FAIL",
                                result.number, result.name, result.detail)
     print(line)

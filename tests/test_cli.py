@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -352,11 +353,14 @@ def test_export_dot_styles(workdir, capsys):
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_reports_seed_and_passes(workdir, capsys):
+    # Seconds vary from run to run, so they go to stderr: the stdout of one
+    # seed stays byte for byte the same, and two runs diff cleanly.
     assert run("verify", "--suite", "even-instance-census",
                "--seed", "5") == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0] == "seed 5"
-    assert "[PASS] 8 even-instance-census" in out
+    out, err = capsys.readouterr()
+    assert out == ("seed 5\n[PASS] 8 even-instance-census: |V|=16 forced=27 "
+                   "forbidden=33 optional=60, W degrees 2, matching of 7\n")
+    assert re.fullmatch(r"even-instance-census: \d+\.\d{3} s\n", err)
     assert run("verify", "--suite", "even-instance-census") == 0
     assert capsys.readouterr().out.splitlines()[0] == "seed 20240901"
 

@@ -395,12 +395,19 @@ def test_c5_path_search_above_the_scan_threshold():
 
 # -- budget -------------------------------------------------------------------
 
+# Inputs whose searches a small budget exhausts: the complement of C24
+# (even-hole-free, budget 1) and K20,20 plus the edge (0, 1) (c5-free,
+# budget 1000).  The history test below checks them too.
+ANTI_C24 = Graph(24, [(i, (i + 1) % 24) for i in range(24)]).complement()
+K20_AND_EDGE = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)]
+                     + [(0, 1)])
+
+
 def test_tiny_budget_exhausts():
-    g = Graph(24, [(i, (i + 1) % 24) for i in range(24)]).complement()
     with pytest.raises(BudgetExhausted):
-        check(g, "even-hole-free", budget=1)
+        check(ANTI_C24, "even-hole-free", budget=1)
     with pytest.raises(ValueError, match="non-negative"):
-        check(g, "even-hole-free", budget=-1)
+        check(ANTI_C24, "even-hole-free", budget=-1)
 
 
 def test_c5_scan_spends_the_budget():
@@ -410,13 +417,10 @@ def test_c5_scan_spends_the_budget():
     # and its four-holes make it not chordal: it still takes the scan.  But
     # every cycle through (0, 1) is a triangle or has a chord: there is no
     # C5.
-    k20 = Graph(40, [(u, v) for u in range(20) for v in range(20, 40)]
-                + [(0, 1)])
-    assert check(k20, "chordal")[0] is False
+    assert check(K20_AND_EDGE, "chordal")[0] is False
     with pytest.raises(BudgetExhausted):
-        check(k20, "c5-free", budget=1000)
-    assert check(k20, "c5-free") == (True, None)
-
+        check(K20_AND_EDGE, "c5-free", budget=1000)
+    assert check(K20_AND_EDGE, "c5-free") == (True, None)
 
 
 def test_c5_scan_charges_only_what_it_scanned():
@@ -427,6 +431,57 @@ def test_c5_scan_charges_only_what_it_scanned():
         c5 = Graph(n, [(i, (i + 1) % 5) for i in range(5)])
         assert check(c5, "c5-free", budget=3) == (
             False, Certificate("hole", (0, 1, 2, 3, 4)))
+
+
+# -- a graph's 2-colouring and elimination order, shared ----------------------
+
+def test_checks_of_one_graph_run_one_search_per_host(monkeypatch):
+    # Maximum cardinality search runs once per host graph value: once for
+    # the six checks of a chordal graph, whose antihole entries are ruled
+    # out from it, and once each on the 7-antihole and its complement C7
+    # for berge.  A search per property, antihole rule-out and berge entry
+    # would run 7 and 3.  (Berge on C7 itself stops at its hole after one.)
+    searches = []
+    peo = recognition._peo
+    monkeypatch.setattr(recognition, "_peo",
+                        lambda g: searches.append(g) or peo(g))
+    fan = Graph(6, [(0, v) for v in range(1, 6)]
+                + [(v, v + 1) for v in range(1, 5)])
+    for g, props, hosts in ((complete_graph(6), PROPERTY_IDS, 1),
+                            (fan, PROPERTY_IDS, 1),
+                            (cycle_graph(7).complement(), ("berge",), 2)):
+        recognition._facts.cache_clear()
+        searches.clear()
+        for prop in props:
+            check(g, prop)
+        assert len(searches) == len(set(searches)) == hosts
+
+
+def _outcome(g, prop, budget):
+    """check's (verdict, certificate), or BudgetExhausted when it raises."""
+    try:
+        return check(g, prop, budget)
+    except BudgetExhausted:
+        return BudgetExhausted
+
+
+@given(small_graphs(), st.sampled_from((None, 0, 1, 4)))
+@example(ANTI_C24, 1)
+@example(K20_AND_EDGE, 1000)
+@settings(max_examples=60, deadline=None)
+def test_check_does_not_depend_on_call_history(g, budget):
+    # The shared facts are pure functions of the graph value and spend no
+    # budget, so each property answers alike cold, warm, right after the
+    # complement was checked and on an equal graph rebuilt from its edges;
+    # a budget too small for the search runs out each time.
+    for prop in PROPERTY_IDS:
+        recognition._facts.cache_clear()
+        cold = _outcome(g, prop, budget)
+        assert _outcome(g, prop, budget) == cold
+        _outcome(g.complement(), prop, budget)
+        assert _outcome(g, prop, budget) == cold
+        assert _outcome(Graph(g.n, g.edges()), prop, budget) == cold
+
 
 def test_unknown_property_rejected():
     with pytest.raises(ValueError):
